@@ -174,11 +174,6 @@ class ServiceConfig:
     #: or computes past this is answered ``TIMEOUT`` (and an admission that
     #: completed too late is rolled back before the verdict is returned).
     default_timeout: float = 30.0
-    #: Decision executor threads.  0 = decide inline on the event loop
-    #: (strictly ordered, deterministic); N > 0 = up to N shards decide
-    #: concurrently (shards share no rings or ports, so their decisions
-    #: are independent by the interference-partition invariant).
-    workers: int = 0
     #: Journal records between admission-state snapshots (0 = never).
     snapshot_every: int = 1000
     #: fsync the journal after every record (survives OS crash, not just
@@ -216,8 +211,6 @@ class ServiceConfig:
             raise ConfigurationError("queue capacity must be >= 1")
         if self.default_timeout <= 0:
             raise ConfigurationError("default timeout must be positive")
-        if self.workers < 0:
-            raise ConfigurationError("workers must be non-negative")
         if self.snapshot_every < 0:
             raise ConfigurationError("snapshot_every must be non-negative")
         if self.latency_window < 1:

@@ -296,22 +296,3 @@ def _port_components(ports: List[Tuple[str, ...]]) -> _UnionFind:
             if j != i:
                 uf.union(j, i)
     return uf
-
-
-def interference_components(
-    footprints: Sequence[Tuple[str, ...]],
-) -> List[int]:
-    """Component root per footprint under the interference partition.
-
-    Two footprints land in the same component iff they are connected by
-    shared names (transitively) — the partition this engine caches
-    per-component fixed points over.  Exposed for the service layer
-    (:mod:`repro.service.shard`), which shards the active connection set
-    by the same partition, augmented with ring tokens so connections
-    competing for one ring's synchronous bandwidth always co-shard.
-
-    Returns the root index of each footprint's component; equal roots =
-    same component.
-    """
-    uf = _port_components(list(footprints))
-    return [uf.find(i) for i in range(len(footprints))]

@@ -135,7 +135,6 @@ MUTATOR_METHODS = frozenset(
         "pop",
         "popitem",
         "put",
-        "rebalance",
         "remove",
         "remove_edge",
         "remove_node",
@@ -181,7 +180,7 @@ TRANSACTIONAL_SCOPES: Dict[str, FrozenSet[str]] = {
         {"open_fresh", "open_for_append", "append", "write_snapshot"}
     ),
     "repro/service/shard.py": frozenset(
-        {"_merge", "commit_admit", "restore_record", "release", "rebalance"}
+        {"_merge", "_attach", "commit_admit", "restore_record", "release"}
     ),
     "repro/service/server.py": frozenset({"_replay"}),
 }
@@ -463,8 +462,8 @@ class _AtomAnalysis(Analysis[_AtomState]):
     ) -> Tuple[FrozenSet[str], FrozenSet[Tuple[str, int, bool]]]:
         """An ``await`` ran.  With no lock held at all, every live read
         goes stale; with any lock held we assume a locking protocol
-        guards the state it reads (the service's lock-coupling
-        structure->shard handoff)."""
+        guards the state it reads (e.g. a coarse lock handed down to a
+        finer one before suspending)."""
         if locks:
             return locks, facts
         return locks, frozenset((key, line, True) for key, line, _ in facts)

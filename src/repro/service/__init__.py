@@ -11,8 +11,7 @@ against live connection signalling, hardened end-to-end for faults:
   ladder (exact analysis -> conservative coarsening -> admission freeze)
   driven by measured decision latency;
 * :mod:`repro.service.shard` — the active set sharded by the interference
-  partition (plus ring-ledger coupling) so independent shards can decide
-  concurrently;
+  partition (plus ring-ledger coupling), one controller per shard;
 * :mod:`repro.service.journal` — the crash-recovery journal and snapshot
   store: a killed server restores bit-identically;
 * :mod:`repro.service.frontend` — a JSON-lines TCP front-end;

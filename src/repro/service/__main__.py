@@ -62,13 +62,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         service = AdmissionService(
             build_network(config),
             network_config=config,
-            service_config=ServiceConfig(workers=args.workers),
             journal_dir=args.journal_dir,
         )
         await service.start()
         print(
             f"admission service on {args.host}:{args.port} "
-            f"({args.rings} rings, workers={args.workers}, "
+            f"({args.rings} rings, "
             f"journal={args.journal_dir or 'off'})",
             flush=True,
         )
@@ -140,9 +139,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 build_network(config),
                 network_config=config,
                 cac_config=cac_cfg,
-                service_config=ServiceConfig(
-                    workers=args.workers, snapshot_every=25
-                ),
+                service_config=ServiceConfig(snapshot_every=25),
                 journal_dir=wal,
             )
             await service.start()
@@ -193,7 +190,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 wal,
                 network_config=config,
                 cac_config=cac_cfg,
-                service_config=ServiceConfig(workers=args.workers),
             )
             print(
                 f"[soak] {r} churn rounds, {decided} decisions; restore: "
@@ -272,7 +268,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642)
     serve.add_argument("--rings", type=int, default=3)
-    serve.add_argument("--workers", type=int, default=0)
     serve.add_argument("--journal-dir", default=None)
     serve.set_defaults(func=cmd_serve)
 
@@ -296,7 +291,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "soak", help="time-boxed churn with a node failure and kill/restore"
     )
     soak.add_argument("--seconds", type=float, default=60.0)
-    soak.add_argument("--workers", type=int, default=0)
     soak.add_argument(
         "--scenario",
         default=None,

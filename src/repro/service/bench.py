@@ -5,7 +5,7 @@ bit-reproducible *trajectories* gate CI, wall-clock numbers inform:
 
 1. **trajectory** (always the same fixed scenario, gated): a scripted
    admit/release/reject/error workload through a fully deterministic
-   service (``workers=0``, tick clock, inert ladder, exact analysis).
+   service (inline decisions, tick clock, inert ladder, exact analysis).
    Every verdict, delay bound (``repr``-exact) and the final recovery
    signature must match the committed ``BENCH_service.json``.
 2. **recovery** (gated booleans): the same workload killed at several
@@ -72,11 +72,10 @@ class TickClock:
 
 
 def deterministic_config(snapshot_every: int = 7) -> ServiceConfig:
-    """Service knobs for bit-reproducible runs: serial, ladder inert."""
+    """Service knobs for bit-reproducible runs: ladder inert."""
     return ServiceConfig(
         queue_capacity=512,
         default_timeout=1e6,
-        workers=0,
         snapshot_every=snapshot_every,
         degrade_hi=1e9,
         degrade_lo=1.0,
@@ -338,8 +337,8 @@ def run_recovery(quick: bool) -> Dict[str, Any]:
 
 
 #: Ladder-drill time steps (seconds per clock read).  The decision
-#: latency the ladder observes is exactly one clock step (``workers=0``
-#: brackets ``_decide`` with two adjacent reads), so these place the EWMA
+#: latency the ladder observes is exactly one clock step (the dispatcher
+#: brackets the decision with two adjacent reads), so these place the EWMA
 #: decisively relative to the default hysteresis band (hi=0.5, lo=0.2).
 _HEALTHY_STEP = 1e-6
 _OVERLOAD_STEP = 1.0
@@ -351,7 +350,7 @@ def run_ladder(quick: bool) -> Dict[str, Any]:
     Overload is simulated through the service's injectable clock: during
     the hot phase every clock read advances a full second, so each
     decision *measures* as taking one second — the real latency path
-    (clock bracket around ``_decide`` → EWMA → ladder) runs unmodified,
+    (clock bracket around the decision → EWMA → ladder) runs unmodified,
     only time itself is synthetic.  That makes the engage/disengage
     booleans — the gated part — exact on any machine, and exercises the
     coarsened analysis config swap and the admission-freeze shed path
@@ -365,7 +364,6 @@ def run_ladder(quick: bool) -> Dict[str, Any]:
         config = ServiceConfig(
             queue_capacity=512,
             default_timeout=1e6,
-            workers=0,
             snapshot_every=0,
             latency_window=4,
             min_dwell=4,

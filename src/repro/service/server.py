@@ -1,7 +1,8 @@
 """The standing admission-control service.
 
 :class:`AdmissionService` wraps the sharded CAC state behind an asyncio
-request queue and hardens the whole decision path:
+request queue, decides each request inline on the event loop in dispatch
+order (priority, then arrival), and hardens the whole decision path:
 
 * **bounded queue with priority shedding** — admits past
   ``ServiceConfig.queue_capacity`` shed the lowest-priority queued admit
@@ -21,14 +22,6 @@ request queue and hardens the whole decision path:
   :class:`~repro.service.degrade.DegradationLadder` watches decision
   latency and steps the analysis from exact to conservative coarsening to
   an admission freeze, with hysteresis and thaw probes.
-
-Concurrency modes: ``workers == 0`` decides inline on the event loop in
-strict arrival order — fully deterministic, the mode every bit-identity
-check runs in.  ``workers > 0`` dispatches decisions to a thread pool,
-one in flight per shard (shards share no rings or ports, so concurrent
-decisions commute); the journal append happens under the deciding
-shard's lock, which keeps each ring's ledger insertion order equal to
-the journal order — the property replay depends on.
 """
 
 from __future__ import annotations
@@ -36,11 +29,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig
-from repro.core.cac import AdmissionResult
 from repro.errors import AuditError, JournalError, ReproError, RoutingError
 from repro.faults.retry import RetryPolicy
 from repro.network.connection import ConnectionSpec
@@ -48,7 +39,7 @@ from repro.network.topology import NetworkTopology
 from repro.service import codec
 from repro.service.degrade import DegradationLadder
 from repro.service.journal import JournalStore, JournalTail
-from repro.service.shard import Shard, ShardedAdmissionState, shard_footprint
+from repro.service.shard import ShardedAdmissionState
 from repro.service.state import state_payload, state_signature
 from repro.sim.metrics import RunningStats
 from repro.sim.random import RandomStreams
@@ -214,11 +205,6 @@ class AdmissionService:
         self._wake = asyncio.Event()
         self._running = False
         self._dispatcher: Optional["asyncio.Task[None]"] = None
-        # workers > 0 machinery.
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._structure_lock = asyncio.Lock()
-        self._journal_lock = asyncio.Lock()
-        self._inflight: "set[asyncio.Task[None]]" = set()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -228,11 +214,6 @@ class AdmissionService:
             return
         if self.journal is not None and fresh_journal:
             self.journal.open_fresh()
-        if self.config.workers > 0:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="cac-decide",
-            )
         self._running = True
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
@@ -250,8 +231,6 @@ class AdmissionService:
         self._dispatcher = None
         if dispatcher is not None:
             await dispatcher
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
         for queued in self._queue:
             if not queued.future.done():
                 queued.future.set_result(
@@ -265,9 +244,6 @@ class AdmissionService:
         if self.journal is not None:
             self._write_snapshot()
             self.journal.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         leaks = {
             rid: diff
             for rid, diff in self.state.audit_allocations().items()
@@ -298,9 +274,6 @@ class AdmissionService:
                 pass
         if self.journal is not None:
             self.journal.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
     async def __aenter__(self) -> "AdmissionService":
         await self.start()
@@ -403,9 +376,7 @@ class AdmissionService:
 
     # -- dispatching -----------------------------------------------------
 
-    def _pop_next(self) -> Optional[_Queued]:
-        if not self._queue:
-            return None
+    def _pop_next(self) -> _Queued:
         best = min(self._queue, key=lambda q: (-q.priority, q.seq))
         self._queue.remove(best)
         return best
@@ -421,22 +392,12 @@ class AdmissionService:
                 and self.config.snapshot_every > 0
                 and self.journal.since_snapshot >= self.config.snapshot_every
             ):
-                await self._snapshot_quiesced()
-            queued = self._pop_next()
-            if queued is None:
-                continue
-            if self.config.workers == 0:
-                await self._serve_one(queued)
-            else:
-                task = asyncio.get_running_loop().create_task(
-                    self._serve_one(queued)
-                )
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
+                self._write_snapshot()
+            self._serve_one(self._pop_next())
 
-    async def _serve_one(self, queued: _Queued) -> None:
+    def _serve_one(self, queued: _Queued) -> None:
         try:
-            response = await self._handle(queued)
+            response = self._handle(queued)
         except ReproError as exc:
             self.metrics.count(ERROR)
             response = ServiceResponse(
@@ -447,7 +408,7 @@ class AdmissionService:
         if not queued.future.done():
             queued.future.set_result(response)
 
-    async def _handle(self, queued: _Queued) -> ServiceResponse:
+    def _handle(self, queued: _Queued) -> ServiceResponse:
         if self.clock() > queued.deadline:
             self.metrics.count(TIMEOUT)
             return ServiceResponse(
@@ -457,27 +418,24 @@ class AdmissionService:
                 retry_after=self._retry_hint(queued.conn_id),
             )
         if queued.kind == "release":
-            return await self._handle_release(queued)
-        return await self._handle_admit(queued)
+            return self._handle_release(queued)
+        return self._handle_admit(queued)
 
-    async def _handle_release(self, queued: _Queued) -> ServiceResponse:
+    def _handle_release(self, queued: _Queued) -> ServiceResponse:
         conn_id = queued.conn_id
-        async with self._structure_lock:
-            shard = self.state.shard_of(conn_id)
-            if shard is None:
-                self.metrics.count(UNKNOWN)
-                return ServiceResponse(
-                    verdict=UNKNOWN,
-                    conn_id=conn_id,
-                    reason="no such active connection",
-                )
-            async with shard.lock:
-                self.state.release(conn_id)
-                await self._journal("release", {"conn_id": conn_id})
+        if self.state.shard_of(conn_id) is None:
+            self.metrics.count(UNKNOWN)
+            return ServiceResponse(
+                verdict=UNKNOWN,
+                conn_id=conn_id,
+                reason="no such active connection",
+            )
+        self.state.release(conn_id)
+        self._journal("release", {"conn_id": conn_id})
         self.metrics.count(RELEASED)
         return ServiceResponse(verdict=RELEASED, conn_id=conn_id)
 
-    async def _handle_admit(self, queued: _Queued) -> ServiceResponse:
+    def _handle_admit(self, queued: _Queued) -> ServiceResponse:
         spec = queued.spec
         assert spec is not None
         conn_id = spec.conn_id
@@ -485,83 +443,48 @@ class AdmissionService:
             return self._busy_response(conn_id, "admissions frozen (overload)")
         if self.ladder.frozen:
             self.metrics.n_thaw_probes += 1
-
-        # Lock discipline (workers > 0): structure lock -> shard locks in
-        # ascending id -> journal lock, globally consistent, so merges,
-        # decisions, snapshots and fault injection can never deadlock.
-        # Merging only ever happens while every involved shard's lock is
-        # held here, so a merge cannot move records out from under a
-        # decision running in the executor.
-        async with self._structure_lock:
-            # Duplicate check under the structure lock: between an
-            # unguarded check and the decision another task could admit
-            # the same id (the controller would catch it, but only after
-            # shards were merged for nothing).
-            if conn_id in self.state.active:
-                self.metrics.count(ERROR)
-                return ServiceResponse(
-                    verdict=ERROR,
-                    conn_id=conn_id,
-                    reason="connection id already active",
-                )
-            try:
-                route = self.state.route_of(spec)
-            except RoutingError as exc:
-                return await self._finish_reject(
-                    conn_id, f"no route: {exc}", latency=0.0
-                )
-            footprint = shard_footprint(self.state.topology, route)
-            overlap = self.state.overlapping(footprint)
-            for other in overlap:
-                await other.lock.acquire()
-            try:
-                shard, footprint = self.state.resolve(route)
-            except BaseException:
-                for other in overlap:
-                    other.lock.release()
-                raise
-            # Hand off: drop every overlap lock (one of them may *be*
-            # the merged shard's), then take the deciding shard's lock
-            # unconditionally.  The structure lock is still held, so no
-            # other task can touch the shard map in between — and every
-            # path now provably exits this block holding shard.lock.
-            for other in overlap:
-                other.lock.release()
-            await shard.lock.acquire()
-        try:
-            shard.controller.set_analysis_config(
-                self.ladder.analysis_for(self._base_analysis)
+        # Checked before resolving so a duplicate never merges shards.
+        if conn_id in self.state.active:
+            self.metrics.count(ERROR)
+            return ServiceResponse(
+                verdict=ERROR,
+                conn_id=conn_id,
+                reason="connection id already active",
             )
-            t0 = self.clock()
-            result = await self._decide(shard, spec)
-            latency = self.clock() - t0
-            self.ladder.observe(latency)
-            self.metrics.observe_latency(latency)
-            if self.clock() > queued.deadline:
-                # Too late to matter: undo a successful admission so
-                # TIMEOUT always means "no state changed".
-                if result.admitted:
-                    shard.controller.release(conn_id)
-                self.metrics.count(TIMEOUT)
-                return ServiceResponse(
-                    verdict=TIMEOUT,
-                    conn_id=conn_id,
-                    reason="decision exceeded request deadline",
-                    retry_after=self._retry_hint(conn_id),
-                    latency=latency,
-                )
-            if not result.admitted:
-                return await self._finish_reject(
-                    conn_id, result.reason, latency
-                )
-            self.state.commit_admit(shard, footprint, result)
-            record = result.record
-            assert record is not None
-            await self._journal("admit", codec.record_to_dict(record))
-            self.n_requests += 1
-            self.n_admitted += 1
-        finally:
-            shard.lock.release()
+        try:
+            route = self.state.route_of(spec)
+        except RoutingError as exc:
+            return self._finish_reject(conn_id, f"no route: {exc}", latency=0.0)
+        shard, footprint = self.state.resolve(route)
+        shard.controller.set_analysis_config(
+            self.ladder.analysis_for(self._base_analysis)
+        )
+        t0 = self.clock()
+        result = shard.controller.request(spec)
+        latency = self.clock() - t0
+        self.ladder.observe(latency)
+        self.metrics.observe_latency(latency)
+        if self.clock() > queued.deadline:
+            # Too late to matter: undo a successful admission so TIMEOUT
+            # always means "no state changed".
+            if result.admitted:
+                shard.controller.release(conn_id)
+            self.metrics.count(TIMEOUT)
+            return ServiceResponse(
+                verdict=TIMEOUT,
+                conn_id=conn_id,
+                reason="decision exceeded request deadline",
+                retry_after=self._retry_hint(conn_id),
+                latency=latency,
+            )
+        if not result.admitted:
+            return self._finish_reject(conn_id, result.reason, latency)
+        self.state.commit_admit(shard, footprint, result)
+        record = result.record
+        assert record is not None
+        self._journal("admit", codec.record_to_dict(record))
+        self.n_requests += 1
+        self.n_admitted += 1
         self._busy_counts.pop(conn_id, None)
         self.metrics.count(ADMITTED)
         return ServiceResponse(
@@ -572,19 +495,10 @@ class AdmissionService:
             latency=latency,
         )
 
-    async def _decide(
-        self, shard: Shard, spec: ConnectionSpec
-    ) -> AdmissionResult:
-        if self._executor is None:
-            return shard.controller.request(spec)
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, shard.controller.request, spec
-        )
-
-    async def _finish_reject(
+    def _finish_reject(
         self, conn_id: str, reason: str, latency: float
     ) -> ServiceResponse:
-        await self._journal("reject", {"conn_id": conn_id})
+        self._journal("reject", {"conn_id": conn_id})
         self.n_requests += 1
         self.metrics.count(REJECTED)
         return ServiceResponse(
@@ -593,14 +507,9 @@ class AdmissionService:
 
     # -- journaling ------------------------------------------------------
 
-    async def _journal(self, op: str, data: Dict[str, Any]) -> None:
-        # Bind once: the None check and the append must agree on the
-        # same object even if the handle were swapped across the await.
-        journal = self.journal
-        if journal is None:
-            return
-        async with self._journal_lock:
-            journal.append(op, data)
+    def _journal(self, op: str, data: Dict[str, Any]) -> None:
+        if self.journal is not None:
+            self.journal.append(op, data)
 
     def _write_snapshot(self) -> None:
         if self.journal is None or self.journal.next_seq == 1:
@@ -614,18 +523,6 @@ class AdmissionService:
         self.journal.write_snapshot(payload, seq=self.journal.next_seq - 1)
         self.metrics.n_snapshots += 1
 
-    async def _snapshot_quiesced(self) -> None:
-        """Write a snapshot with every shard quiesced (workers > 0 safe)."""
-        async with self._structure_lock:
-            shards = sorted(self.state.shards.values(), key=lambda s: s.shard_id)
-            for shard in shards:
-                await shard.lock.acquire()
-            try:
-                self._write_snapshot()
-            finally:
-                for shard in shards:
-                    shard.lock.release()
-
     # -- fault handling --------------------------------------------------
 
     async def inject_node_failure(self, node_id: str) -> List[str]:
@@ -635,33 +532,23 @@ class AdmissionService:
         recovery replays them and the restored state matches.  Returns
         the displaced connection ids (a retry layer would re-admit them).
         """
-        async with self._structure_lock:
-            shards = sorted(self.state.shards.values(), key=lambda s: s.shard_id)
-            for shard in shards:
-                await shard.lock.acquire()
-            try:
-                self.state.topology.fail_node(node_id)
-                await self._journal("fault", {"node": node_id})
-                displaced = [
-                    rec.conn_id
-                    for rec in self.state.records_in_order()
-                    if node_id
-                    in (rec.route.source_device, rec.route.dest_device)
-                    or node_id in rec.route.switch_path
-                ]
-                for conn_id in displaced:
-                    self.state.release(conn_id)
-                    await self._journal("release", {"conn_id": conn_id})
-                    self.metrics.n_displaced += 1
-            finally:
-                for shard in shards:
-                    shard.lock.release()
+        self.state.topology.fail_node(node_id)
+        self._journal("fault", {"node": node_id})
+        displaced = [
+            rec.conn_id
+            for rec in self.state.records_in_order()
+            if node_id in (rec.route.source_device, rec.route.dest_device)
+            or node_id in rec.route.switch_path
+        ]
+        for conn_id in displaced:
+            self.state.release(conn_id)
+            self._journal("release", {"conn_id": conn_id})
+            self.metrics.n_displaced += 1
         return displaced
 
     async def repair_node(self, node_id: str) -> None:
-        async with self._structure_lock:
-            self.state.topology.restore_node(node_id)
-            await self._journal("repair", {"node": node_id})
+        self.state.topology.restore_node(node_id)
+        self._journal("repair", {"node": node_id})
 
     # -- recovery --------------------------------------------------------
 

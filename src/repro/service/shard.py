@@ -1,7 +1,6 @@
 """The active connection set, sharded by the interference partition.
 
-Concurrent admission decisions are safe only when they touch disjoint
-resources.  Two connections interact through exactly two mechanisms:
+Two connections interact through exactly two mechanisms:
 
 * **delay coupling** — they share an ATM output port (transitively), the
   interference partition of :mod:`repro.core.incremental`;
@@ -13,17 +12,20 @@ resources.  Two connections interact through exactly two mechanisms:
 A connection's **shard footprint** is therefore its route's port names
 plus a ``ring:<id>`` token for each endpoint ring.  Shards are the
 transitive closure of footprint overlap: two shards never share a port
-*or* a ring, so their decisions commute — the delay fixed points
-factorize (the engine's interference-partition invariant) and the ring
-ledgers they charge are disjoint.  The service may decide on distinct
-shards concurrently and the result is identical to some serial order.
+*or* a ring, so each shard's controller analyses only the connections
+that can affect one another, and its verdicts and bounds equal those of
+one controller holding the whole set.  The service decides one request
+at a time; what the split buys over that single controller (smaller
+fixed points, warmer per-shard caches) has not been measured.
 
-Shards only ever grow (a bridging connection merges them); releases can
-leave a shard transitively over-merged, which :meth:`rebalance` repairs
-by recomputing the partition from the live set.  All membership moves go
-through the controller's ``forget_record``/``adopt_record`` pair, which
-never touch the ring ledgers — the ledgers are global, owned by the
-shared topology, and only admit/restore/release mutate them.
+Shards only ever grow: a bridging connection merges them, and a release
+sheds tokens only when its shard empties.  A footprint touching no live
+shard gets a fresh shard that joins :attr:`ShardedAdmissionState.shards`
+only when a record commits into it, so a refused or rolled-back
+admission leaves no shard behind.  Membership moves go through the
+controller's ``forget_record``/``adopt_record`` pair, which never touch
+the ring ledgers — the ledgers are global, owned by the shared topology,
+and only admit/restore/release mutate them.
 
 Determinism: every structure here iterates in **global admission order**
 (the insertion order of :attr:`ShardedAdmissionState.active`), so a state
@@ -34,13 +36,11 @@ the process that wrote the journal.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CACConfig, NetworkConfig
 from repro.core.cac import AdmissionController, AdmissionResult
 from repro.core.delay import route_port_names
-from repro.core.incremental import interference_components
 from repro.errors import ConfigurationError
 from repro.network.connection import ConnectionRecord, ConnectionSpec
 from repro.network.routing import Route, compute_route
@@ -71,11 +71,6 @@ class Shard:
         )
         #: Footprint tokens this shard owns (ports + ring:<id>).
         self.tokens: set = set()
-        #: False once merged into another shard (stale references must
-        #: re-resolve).
-        self.alive = True
-        #: Decision mutex for ``workers > 0`` mode.
-        self.lock = asyncio.Lock()
 
     def __repr__(self) -> str:
         return (
@@ -110,6 +105,7 @@ class ShardedAdmissionState:
     # -- shard resolution ----------------------------------------------
 
     def _new_shard(self) -> Shard:
+        """A fresh shard, registered only by :meth:`_attach`."""
         shard = Shard(
             self._next_shard_id,
             self.topology,
@@ -117,7 +113,6 @@ class ShardedAdmissionState:
             self.cac_config,
         )
         self._next_shard_id += 1
-        self.shards[shard.shard_id] = shard
         return shard
 
     def _merge(self, target: Shard, source: Shard) -> None:
@@ -134,7 +129,6 @@ class ShardedAdmissionState:
         target.tokens |= source.tokens
         for token in source.tokens:
             self._token_shard[token] = target.shard_id
-        source.alive = False
         del self.shards[source.shard_id]
         self.n_merges += 1
         if moving:
@@ -143,7 +137,11 @@ class ShardedAdmissionState:
             target.controller.refresh_bounds()
 
     def resolve(self, route: Route) -> Tuple[Shard, Tuple[str, ...]]:
-        """The shard that must decide for ``route`` (merging as needed)."""
+        """The shard that must decide for ``route`` (merging as needed).
+
+        With no overlapping shard the result is a fresh, unregistered
+        shard; it joins :attr:`shards` when a record commits into it.
+        """
         footprint = shard_footprint(self.topology, route)
         overlap_ids: List[int] = []
         for token in footprint:
@@ -158,36 +156,21 @@ class ShardedAdmissionState:
             self._merge(target, self.shards[sid])
         return target, footprint
 
-    def resolve_for(
-        self, spec: ConnectionSpec
-    ) -> Tuple[Shard, Tuple[str, ...], Route]:
-        """Route the spec and resolve its deciding shard."""
-        route = compute_route(
-            self.topology, spec.source_host, spec.dest_host
-        )
-        shard, footprint = self.resolve(route)
-        return shard, footprint, route
-
     def route_of(self, spec: ConnectionSpec) -> Route:
         return compute_route(self.topology, spec.source_host, spec.dest_host)
 
-    def overlapping(self, footprint: Tuple[str, ...]) -> List[Shard]:
-        """Live shards touching any footprint token, ascending shard id.
-
-        The concurrent server locks exactly these before calling
-        :meth:`resolve`, so a merge never moves records out from under an
-        in-flight decision.
-        """
-        ids = sorted(
-            {
-                self._token_shard[token]
-                for token in footprint
-                if token in self._token_shard
-            }
-        )
-        return [self.shards[sid] for sid in ids]
-
     # -- state mutation -------------------------------------------------
+
+    def _attach(
+        self, shard: Shard, footprint: Tuple[str, ...], record: ConnectionRecord
+    ) -> None:
+        """Register ``record`` (and ``shard``, if new) as active."""
+        self.shards[shard.shard_id] = shard
+        self.active[record.conn_id] = record
+        self._conn_shard[record.conn_id] = shard.shard_id
+        shard.tokens.update(footprint)
+        for token in footprint:
+            self._token_shard[token] = shard.shard_id
 
     def commit_admit(
         self,
@@ -199,19 +182,7 @@ class ShardedAdmissionState:
         record = result.record
         if record is None:
             raise ConfigurationError("commit_admit needs an admitted result")
-        self.active[record.conn_id] = record
-        self._conn_shard[record.conn_id] = shard.shard_id
-        shard.tokens.update(footprint)
-        for token in footprint:
-            self._token_shard[token] = shard.shard_id
-
-    def admit(self, spec: ConnectionSpec) -> AdmissionResult:
-        """Serial-mode admission: resolve, decide, commit."""
-        shard, footprint, _route = self.resolve_for(spec)
-        result = shard.controller.request(spec)
-        if result.admitted:
-            self.commit_admit(shard, footprint, result)
-        return result
+        self._attach(shard, footprint, record)
 
     def restore_record(
         self,
@@ -227,11 +198,7 @@ class ShardedAdmissionState:
         record = shard.controller.restore(
             spec, h_source, h_dest, route=route, delay_bound=delay_bound
         )
-        self.active[record.conn_id] = record
-        self._conn_shard[record.conn_id] = shard.shard_id
-        shard.tokens.update(footprint)
-        for token in footprint:
-            self._token_shard[token] = shard.shard_id
+        self._attach(shard, footprint, record)
         return record
 
     def shard_of(self, conn_id: str) -> Optional[Shard]:
@@ -250,54 +217,10 @@ class ShardedAdmissionState:
             for token in list(shard.tokens):
                 if self._token_shard.get(token) == shard.shard_id:
                     del self._token_shard[token]
-            shard.alive = False
             del self.shards[shard.shard_id]
         return record
 
     # -- maintenance -----------------------------------------------------
-
-    def rebalance(self) -> int:
-        """Recompute the partition from the live set; returns shard count.
-
-        Releases never split shards online (tokens are shed only when a
-        shard empties), so long-running churn drifts toward one giant
-        shard.  Rebalancing rebuilds minimal shards deterministically:
-        footprints in global admission order, components via
-        :func:`~repro.core.incremental.interference_components`, members
-        adopted in global order.  Ring ledgers are untouched.
-        """
-        records = list(self.active.values())
-        old_shards = list(self.shards.values())
-        self.shards.clear()
-        self._token_shard.clear()
-        self._conn_shard.clear()
-        for shard in old_shards:
-            shard.alive = False
-        if not records:
-            return 0
-        footprints = [
-            shard_footprint(self.topology, rec.route) for rec in records
-        ]
-        roots = interference_components(footprints)
-        by_root: Dict[int, Shard] = {}
-        for rec, fp, root in zip(records, footprints, roots):
-            shard = by_root.get(root)
-            if shard is None:
-                shard = self._new_shard()
-                by_root[root] = shard
-            old = next(
-                s for s in old_shards if rec.conn_id in s.controller.connections
-            )
-            shard.controller.adopt_record(
-                old.controller.forget_record(rec.conn_id)
-            )
-            self._conn_shard[rec.conn_id] = shard.shard_id
-            shard.tokens.update(fp)
-            for token in fp:
-                self._token_shard[token] = shard.shard_id
-        for shard in by_root.values():
-            shard.controller.refresh_bounds()
-        return len(self.shards)
 
     def refresh_all_bounds(self) -> None:
         for shard in self.shards.values():

@@ -31,7 +31,7 @@ def _service():
         build_network(NET),
         network_config=NET,
         cac_config=CACConfig(),
-        service_config=ServiceConfig(workers=0, snapshot_every=0),
+        service_config=ServiceConfig(snapshot_every=0),
         clock=TickClock(),
     )
 

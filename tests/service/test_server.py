@@ -33,20 +33,29 @@ def _spec(cid, src="host1-1", dst="host2-1", deadline=0.09, traffic=TRAFFIC):
     return ConnectionSpec(cid, src, dst, traffic, deadline)
 
 
-def _service(clock=None, **overrides):
-    defaults = dict(workers=0, default_timeout=1e6, snapshot_every=0)
+def _service(clock=None, journal_dir=None, **overrides):
+    defaults = dict(default_timeout=1e6, snapshot_every=0)
     defaults.update(overrides)
     return AdmissionService(
         build_network(NET),
         network_config=NET,
         cac_config=CACConfig(),
         service_config=ServiceConfig(**defaults),
+        journal_dir=journal_dir,
         clock=clock or TickClock(),
     )
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def _journaled(records):
+    """(op, conn_id) of each journal record."""
+    return [
+        (r.op, r.data["spec"]["conn_id"] if r.op == "admit" else r.data["conn_id"])
+        for r in records
+    ]
 
 
 class TestVerdicts:
@@ -127,6 +136,46 @@ class TestTimeouts:
                 return await service.submit_admit(_spec("ok"), timeout=60.0)
 
         assert run(scenario()).verdict == ADMITTED
+
+
+class TestShardLifecycle:
+    def test_refused_admits_leave_no_shard(self):
+        # A refused admit on an untouched footprint must not leave the
+        # fresh shard it was decided in registered.
+        async def scenario():
+            async with _service() as service:
+                responses = [
+                    await service.submit_admit(
+                        _spec(f"r{k}", "host1-1", "host2-2", traffic=HOPELESS)
+                    )
+                    for k in range(5)
+                ]
+                return (
+                    responses,
+                    len(service.state.shards),
+                    service.metrics_snapshot()["shards"]["n_shards"],
+                )
+
+        responses, n_shards, reported = run(scenario())
+        assert [r.verdict for r in responses] == [REJECTED] * 5
+        assert n_shards == 0
+        assert reported == 0
+
+    def test_timed_out_admit_leaves_no_shard(self):
+        # Clock reads 10 ms apart: the request passes the dequeue check
+        # (20 ms < 35 ms) but the post-decision check (50 ms) is late, so
+        # the admission is rolled back.
+        async def scenario():
+            async with _service(clock=TickClock(step=0.010)) as service:
+                response = await service.submit_admit(
+                    _spec("slow"), timeout=0.025
+                )
+                return response, len(service.state.shards)
+
+        response, n_shards = run(scenario())
+        assert response.verdict == TIMEOUT
+        assert "decision exceeded" in response.reason
+        assert n_shards == 0
 
 
 class TestBackpressure:
@@ -278,29 +327,93 @@ class TestConcurrencyRegressions:
 
         assert run(scenario()) is None
 
-    def test_concurrent_duplicate_admits_one_winner(self):
-        # The duplicate check runs under the structure lock, so two
-        # in-flight admits of the same id resolve to exactly one
-        # admission even when the decision itself suspends (workers=1
-        # pushes _decide through the executor).
+    def test_concurrent_duplicate_admits_one_winner(self, tmp_path):
+        # Decisions run inline in dispatch order: the first admit commits
+        # before the second is dequeued, and the duplicate check refuses
+        # the second before it resolves (or creates) a shard.  The loser's
+        # route is disjoint from the winner's, so a shard resolved for it
+        # would be a second one.
         async def scenario():
-            async with _service(workers=1) as service:
+            async with _service(journal_dir=str(tmp_path / "wal")) as service:
                 first, second = await asyncio.gather(
                     service.submit_admit(_spec("dup", "host1-1", "host2-1")),
-                    service.submit_admit(_spec("dup", "host1-2", "host2-2")),
+                    service.submit_admit(_spec("dup", "host3-1", "host4-1")),
                 )
-                return sorted([first.verdict, second.verdict])
+                records = service.journal.scan_tail(after_seq=0).records
+                return first, second, records, service.state.stats()
 
-        verdicts = run(scenario())
-        assert ADMITTED in verdicts
-        assert verdicts.count(ADMITTED) == 1
-        assert set(verdicts) <= {ADMITTED, ERROR, REJECTED}
+        first, second, records, stats = run(scenario())
+        assert (first.verdict, second.verdict) == (ADMITTED, ERROR)
+        assert "already active" in second.reason
+        assert _journaled(records) == [("admit", "dup")]
+        assert stats["n_shards"] == 1
+        assert stats["n_merges"] == 0
+
+    def test_gathered_ops_journal_in_dispatch_order(self, tmp_path):
+        # Admits and releases in flight together across two disjoint
+        # shards (rings 1-2 and 3-4) are decided, and journaled, in
+        # dispatch order: priority first, then arrival.  Replaying that
+        # journal must rebuild the live state exactly.
+        wal = str(tmp_path / "wal")
+        batch = [
+            ("admit", _spec("a1", "host1-2", "host2-2"), 0),
+            ("release", "a0", 0),
+            ("admit", _spec("b1", "host3-2", "host4-2"), 2),
+            ("release", "b0", 0),
+            ("admit", _spec("b2", "host3-3", "host4-3"), 1),
+            ("admit", _spec("a2", "host1-3", "host2-3"), 2),
+        ]
+
+        def _submit(service, op):
+            kind, target, priority = op
+            if kind == "admit":
+                return service.submit_admit(target, priority=priority)
+            return service.submit_release(target)
+
+        async def scenario():
+            service = _service(journal_dir=wal)
+            await service.start()
+            await service.submit_admit(_spec("a0", "host1-1", "host2-1"))
+            await service.submit_admit(_spec("b0", "host3-1", "host4-1"))
+            assert service.state.stats()["n_shards"] == 2
+            responses = await asyncio.gather(
+                *(_submit(service, op) for op in batch)
+            )
+            records = service.journal.scan_tail(after_seq=2).records
+            live = service.signature()
+            await service.simulate_kill()
+            return responses, records, live
+
+        responses, records, live = run(scenario())
+        assert [r.verdict for r in responses] == [
+            ADMITTED, RELEASED, ADMITTED, RELEASED, ADMITTED, ADMITTED
+        ]
+        order = sorted(range(len(batch)), key=lambda i: (-batch[i][2], i))
+        expected = [
+            (
+                batch[i][0],
+                batch[i][1].conn_id if batch[i][0] == "admit" else batch[i][1],
+            )
+            for i in order
+        ]
+        assert _journaled(records) == expected
+        assert expected[0] == ("admit", "b1")
+        restored, report = AdmissionService.restore(
+            build_network(NET),
+            wal,
+            network_config=NET,
+            cac_config=CACConfig(),
+            service_config=ServiceConfig(default_timeout=1e6, snapshot_every=0),
+            clock=TickClock(),
+        )
+        assert report.n_replayed == 8
+        assert report.signature == live
+        assert restored.signature() == live
 
     def test_overlap_merge_handoff_admits_and_audits_clean(self):
         # Successive admissions whose routes share rings force shard
-        # merges; the deciding shard's lock is re-acquired after the
-        # overlap locks are dropped, and the exit audit in stop() proves
-        # no allocation leaked through the handoff.
+        # merges; the exit audit in stop() proves no allocation leaked
+        # through the merge.
         async def scenario():
             async with _service() as service:
                 r1 = await service.submit_admit(
@@ -327,7 +440,7 @@ class TestConcurrencyRegressions:
         async def scenario():
             async with _service() as service:
                 assert service.journal is None
-                await service._journal("admit", {"conn_id": "ghost"})
+                service._journal("admit", {"conn_id": "ghost"})
                 return await service.submit_admit(_spec("c1"))
 
         assert run(scenario()).verdict == ADMITTED
