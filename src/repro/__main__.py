@@ -12,8 +12,8 @@ Commands
     Forwards to :mod:`repro.experiments` (``figure7``, ``figure8``,
     ``validation``, ``ablation-*``, ``survivability``, ``all``).
 ``bench``
-    Run the tracked CAC benchmarks (:mod:`repro.bench`) and write
-    ``BENCH_cac.json``.
+    Run the tracked determinism gates (:mod:`repro.bench`) and write
+    ``BENCH_<suite>.json``; speed is measured by ``perfbench/run.py``.
 ``service ...``
     Forwards to :mod:`repro.service` (``serve``, ``bench``, ``soak``,
     ``replay``) — the standing admission-control server.
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
 
     sub.add_parser(
         "bench",
-        help="run the tracked CAC benchmarks (writes BENCH_cac.json)",
+        help="run the tracked determinism gates (writes BENCH_<suite>.json)",
         add_help=False,
     )
 

@@ -1,183 +1,47 @@
-"""Tracked CAC benchmarks: ``python -m repro bench``.
+"""Tracked CAC determinism gate: ``python -m repro bench``.
 
-Complements the pytest-benchmark suite under ``benchmarks/`` with a
-dependency-free runner whose JSON output (``BENCH_cac.json``) is committed
-to the repository, so hot-path regressions show up in review diffs.
+Speed is measured by ``perfbench/`` (see ``BENCHMARK.json``); this suite
+measures none.  Its JSON output (``BENCH_cac.json``) is committed, and
+``--check`` compares a fresh run against it field by field:
 
-Two tiers:
-
-* **micro** — the E6 scenario (3-ring reference network, three background
-  connections): one full admission decision with the incremental engine
-  and with full recomputation, plus a hopeless-request rejection and a
-  cold-cache delay analysis.
-* **macro (repeat-admission)** — the admission controller's actual
-  operating regime: a standing population of connections across many
-  disjoint interference components, with repeated admit/release churn on
-  one component.  Full recomputation re-analyzes every component on every
-  probe; the incremental engine touches only the dirty one.  The reported
-  ``speedup_vs_full`` is the acceptance metric, and the two controllers'
-  decisions are asserted identical field-by-field.
-
-Every bench reports the median and p90 of the warm rounds (the first few
-rounds populate the LRU caches and are discarded; the steady state is what
-the admission hot path actually sees).
+* **decision trajectory** — a fixed admit/release script over a standing
+  population on 8 rings (four disjoint ring-pair interference
+  components, seven connections each).  Every verdict, delay bound,
+  minimum-need allocation (``repr``-exact) and probe count must match.
+* **incremental ≡ full** — the same population driven through repeated
+  admit/release of one probe connection, once with the incremental engine
+  and once with full recomputation; the two controllers' decisions must
+  be identical field by field.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import statistics
 import sys
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.units import MS_PER_S
-
-from repro.config import AnalysisConfig, CACConfig, NetworkConfig, build_network
-from repro.core import AdmissionController, ConnectionLoad
-from repro.core.delay import DelayAnalyzer
+from repro.config import CACConfig, NetworkConfig, build_network
+from repro.core import AdmissionController
 from repro.network.connection import ConnectionSpec
 from repro.traffic import DualPeriodicTraffic
 
-#: The E6 workload (matches ``benchmarks/bench_cac_latency.py``).
-MICRO_TRAFFIC = DualPeriodicTraffic(c1=120_000.0, p1=0.015, c2=60_000.0, p2=0.005)
-#: Lighter per-connection load so the macro scenario's rings can hold a
-#: standing population of seven connections each.
+#: Light per-connection load so each ring can hold a standing population
+#: of seven connections.
 MACRO_TRAFFIC = DualPeriodicTraffic(c1=60_000.0, p1=0.015, c2=30_000.0, p2=0.005)
-
-
-@dataclasses.dataclass(frozen=True)
-class BenchResult:
-    """One bench: warm-round latency quantiles (seconds)."""
-
-    name: str
-    rounds: int
-    median_s: float
-    p90_s: float
-    #: Median of the matching full-recomputation bench divided by this
-    #: one's median (only on incremental-engine benches).
-    speedup_vs_full: Optional[float] = None
-
-
-def _p90(times: List[float]) -> float:
-    ordered = sorted(times)
-    return ordered[min(len(ordered) - 1, int(0.9 * len(ordered)))]
-
-
-def _time_rounds(
-    fn: Callable[[], object], rounds: int, warmup: int
-) -> List[float]:
-    times = []
-    for _ in range(rounds + warmup):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return times[warmup:]
-
-
-def _result(name, times, full_times=None) -> BenchResult:
-    median = statistics.median(times)
-    return BenchResult(
-        name=name,
-        rounds=len(times),
-        median_s=median,
-        p90_s=_p90(times),
-        speedup_vs_full=(
-            statistics.median(full_times) / median if full_times else None
-        ),
-    )
+#: The standing population of both gates: 8 rings, 7 connections per pair.
+N_RINGS = 8
+PER_GROUP = 7
+#: Admit/release rounds of the incremental-vs-full comparison.
+IDENTITY_ROUNDS = 10
 
 
 # ----------------------------------------------------------------------
-# Micro benches (the E6 scenario)
+# Standing population
 # ----------------------------------------------------------------------
 
-def _micro_controller(incremental: bool) -> AdmissionController:
-    topo = build_network()
-    cac = AdmissionController(
-        topo, cac_config=CACConfig(beta=0.5, incremental=incremental)
-    )
-    pairs = [("host1-1", "host2-1"), ("host2-2", "host3-2"), ("host3-3", "host1-3")]
-    for i, (src, dst) in enumerate(pairs):
-        res = cac.request(ConnectionSpec(f"bg{i}", src, dst, MICRO_TRAFFIC, 0.09))
-        assert res.admitted, f"micro background bg{i} must admit"
-    return cac
-
-
-def _admit_release_times(
-    cac: AdmissionController,
-    probe: Tuple[str, str, float],
-    rounds: int,
-    warmup: int,
-    decisions: Optional[List[tuple]] = None,
-    traffic=MICRO_TRAFFIC,
-) -> List[float]:
-    src, dst, deadline = probe
-    counter = [0]
-
-    def one_round():
-        counter[0] += 1
-        cid = f"probe-{counter[0]}"
-        res = cac.request(ConnectionSpec(cid, src, dst, traffic, deadline))
-        if res.admitted:
-            cac.release(cid)
-        if decisions is not None:
-            decisions.append(
-                (res.admitted, res.delay_bound, res.h_min_need, res.n_probes)
-            )
-        return res
-
-    return _time_rounds(one_round, rounds, warmup)
-
-
-def run_micro_benches(rounds: int = 10, warmup: int = 3) -> List[BenchResult]:
-    probe = ("host1-2", "host2-3", 0.09)
-    full = _micro_controller(incremental=False)
-    t_full = _admit_release_times(full, probe, rounds, warmup)
-    incr = _micro_controller(incremental=True)
-    t_incr = _admit_release_times(incr, probe, rounds, warmup)
-
-    cac = _micro_controller(incremental=True)
-
-    def one_rejection():
-        # Sub-2-TTRT deadline: refused before any delay analysis runs.
-        res = cac.request(
-            ConnectionSpec("nope", "host1-2", "host2-3", MICRO_TRAFFIC, 0.012)
-        )
-        assert not res.admitted
-        return res
-
-    t_reject = _time_rounds(one_rejection, rounds, warmup)
-
-    loads = [
-        ConnectionLoad(r.spec, r.route, r.h_source, r.h_dest)
-        for r in cac.connections.values()
-    ]
-    topo = cac.topology
-
-    def one_cold_analysis():
-        return DelayAnalyzer(topo, cac.network_config, AnalysisConfig()).compute(loads)
-
-    t_cold = _time_rounds(one_cold_analysis, rounds, warmup)
-
-    return [
-        _result("admission_decision_full", t_full),
-        _result("admission_decision_incremental", t_incr, full_times=t_full),
-        _result("rejection_decision", t_reject),
-        _result("cold_analysis_3conn", t_cold),
-    ]
-
-
-# ----------------------------------------------------------------------
-# Macro bench: repeat admission against a standing population
-# ----------------------------------------------------------------------
-
-def _macro_controller(
-    incremental: bool, n_rings: int, per_group: int
-) -> AdmissionController:
-    topo = build_network(NetworkConfig(n_rings=n_rings))
+def _macro_controller(incremental: bool) -> AdmissionController:
+    topo = build_network(NetworkConfig(n_rings=N_RINGS))
     cac = AdmissionController(
         topo, cac_config=CACConfig(beta=0.5, incremental=incremental)
     )
@@ -185,9 +49,9 @@ def _macro_controller(
     # Disjoint ring pairs (1,2), (3,4), ... — each pair is one
     # interference component the probe traffic never touches (except the
     # first, which the probe below shares).
-    for a in range(1, n_rings, 2):
+    for a in range(1, N_RINGS, 2):
         b = a + 1
-        for j in range(per_group):
+        for j in range(PER_GROUP):
             spec = ConnectionSpec(
                 f"bg{k}",
                 f"host{a}-{(j % 4) + 1}",
@@ -201,45 +65,34 @@ def _macro_controller(
     return cac
 
 
-def run_macro_bench(
-    quick: bool = False,
-) -> Tuple[List[BenchResult], bool]:
-    """Repeat-admission bench; returns (results, decisions_identical)."""
-    if quick:
-        n_rings, per_group, rounds, warmup = 8, 7, 8, 2
-    else:
-        n_rings, per_group, rounds, warmup = 16, 7, 25, 5
-    probe = ("host1-2", "host2-3", 0.09)
-    decisions_full: List[tuple] = []
-    decisions_incr: List[tuple] = []
-    full = _macro_controller(False, n_rings, per_group)
-    t_full = _admit_release_times(
-        full, probe, rounds, warmup, decisions_full, traffic=MACRO_TRAFFIC
-    )
-    incr = _macro_controller(True, n_rings, per_group)
-    t_incr = _admit_release_times(
-        incr, probe, rounds, warmup, decisions_incr, traffic=MACRO_TRAFFIC
-    )
-    identical = decisions_full == decisions_incr
-    suffix = "_quick" if quick else ""
-    return (
-        [
-            _result(f"repeat_admission_full{suffix}", t_full),
-            _result(
-                f"repeat_admission_incremental{suffix}", t_incr, full_times=t_full
-            ),
-        ],
-        identical,
-    )
+def macro_decisions_identical() -> bool:
+    """Repeated admit/release of one probe: incremental ≡ full recompute.
+
+    Full recomputation re-analyzes every component on every probe; the
+    incremental engine touches only the dirty one.  Both must reach the
+    same verdict, bound, minimum-need allocation and probe count.
+    """
+    decisions: List[List[tuple]] = []
+    for incremental in (False, True):
+        cac = _macro_controller(incremental)
+        trail: List[tuple] = []
+        for r in range(IDENTITY_ROUNDS):
+            cid = f"probe-{r}"
+            res = cac.request(
+                ConnectionSpec(cid, "host1-2", "host2-3", MACRO_TRAFFIC, 0.09)
+            )
+            if res.admitted:
+                cac.release(cid)
+            trail.append((res.admitted, res.delay_bound, res.h_min_need, res.n_probes))
+        decisions.append(trail)
+    return decisions[0] == decisions[1]
 
 
 # ----------------------------------------------------------------------
 # Decision trajectory: the committed, gated part of the payload
 # ----------------------------------------------------------------------
 
-#: Fixed admit/release script over the 8-ring macro population.  The
-#: scenario is deliberately *independent of ``--quick``* so a quick CI
-#: check compares against the committed full-mode artifact.
+#: Fixed admit/release script over the standing population.
 _TRAJECTORY_STEPS: Tuple[Tuple[str, ...], ...] = (
     ("admit", "tr-1", "host1-2", "host2-3", "0.09"),
     ("admit", "tr-2", "host3-1", "host4-2", "0.09"),
@@ -261,7 +114,7 @@ def run_decision_trajectory() -> Dict[str, object]:
     exactly; any numerical drift in the admission hot path shows up as a
     field-level diff under ``--check``.
     """
-    cac = _macro_controller(True, n_rings=8, per_group=7)
+    cac = _macro_controller(True)
     decisions: List[Dict[str, object]] = []
     for step in _TRAJECTORY_STEPS:
         if step[0] == "release":
@@ -291,7 +144,7 @@ def run_decision_trajectory() -> Dict[str, object]:
             }
         )
     return {
-        "scenario": {"n_rings": 8, "per_group": 7},
+        "scenario": {"n_rings": N_RINGS, "per_group": PER_GROUP},
         "decisions": decisions,
     }
 
@@ -339,34 +192,27 @@ def check_cac_payload(
 # ----------------------------------------------------------------------
 
 def run_benches(quick: bool = False) -> Dict[str, object]:
-    micro_rounds = 5 if quick else 10
-    results = run_micro_benches(rounds=micro_rounds, warmup=2 if quick else 3)
-    macro, identical = run_macro_bench(quick=quick)
-    results.extend(macro)
+    """The gated payload; ``quick`` is recorded but changes no work."""
     return {
         "benchmark": "repro-cac",
         "quick": quick,
-        "macro_decisions_identical": identical,
+        "macro_decisions_identical": macro_decisions_identical(),
         "decision_trajectory": run_decision_trajectory(),
-        "results": [dataclasses.asdict(r) for r in results],
     }
 
 
 def format_report(payload: Dict[str, object]) -> str:
-    lines = [
-        "CAC benchmarks"
-        + (" (quick)" if payload["quick"] else "")
-        + " — median / p90 per decision, warm rounds",
-        "",
-        f"  {'bench':38s} {'rounds':>6s} {'median':>10s} {'p90':>10s} {'vs full':>8s}",
-    ]
-    for r in payload["results"]:
-        speedup = r["speedup_vs_full"]
-        lines.append(
-            f"  {r['name']:38s} {r['rounds']:6d} "
-            f"{r['median_s'] * MS_PER_S:8.2f}ms {r['p90_s'] * MS_PER_S:8.2f}ms "
-            + (f"{speedup:7.2f}x" if speedup else f"{'—':>8s}")
-        )
+    trajectory = payload["decision_trajectory"]
+    assert isinstance(trajectory, dict)
+    lines = ["CAC determinism gate", ""]
+    for step in trajectory["decisions"]:
+        if step["op"] == "release":
+            lines.append(f"  release {step['conn_id']}")
+        else:
+            lines.append(
+                f"  admit   {step['conn_id']:12s} admitted={step['admitted']} "
+                f"bound={step['delay_bound']} probes={step['n_probes']}"
+            )
     lines.append("")
     lines.append(
         "  macro decisions identical (incremental vs full): "
@@ -466,12 +312,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description=(
-            "Run the tracked benchmarks (CAC and/or envelope kernels) and "
-            "write their committed JSON artifacts."
+            "Run the tracked determinism gates (CAC, envelopes, service, "
+            "lint) and write their committed JSON artifacts.  Speed is "
+            "measured by perfbench/run.py, not here."
         ),
     )
     parser.add_argument(
-        "--quick", action="store_true", help="smaller scenario, fewer rounds"
+        "--quick",
+        action="store_true",
+        help="fewer recovery offsets, ladder steps and lint rounds "
+        "(service and lint suites; the cac and envelopes gates are fixed)",
     )
     parser.add_argument(
         "--suite",

@@ -21,7 +21,7 @@ surrounding machinery.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.config import AnalysisConfig, CACConfig, NetworkConfig
 from repro.core.delay import ConnectionLoad, DelayAnalyzer, DelayReport
@@ -36,6 +36,31 @@ from repro.fddi.timed_token import min_sync_allocation
 from repro.network.connection import ConnectionRecord, ConnectionSpec
 from repro.network.routing import Route, compute_route
 from repro.network.topology import NetworkTopology
+
+#: Ledger discrepancies below this (seconds of synchronous time) are
+#: floating-point noise, not leaks.
+LEAK_TOLERANCE = 1e-9
+
+
+def ledger_discrepancies(
+    topology: NetworkTopology, records: Iterable[ConnectionRecord]
+) -> Dict[str, float]:
+    """Per-ring discrepancy: ledger total minus the records' allocations.
+
+    Every value must be ~0 (within :data:`LEAK_TOLERANCE`); a positive
+    entry means the ring holds synchronous time that no live connection
+    accounts for (a leak), a negative one that a record claims more than
+    the ledger granted.
+    """
+    expected: Dict[str, float] = {rid: 0.0 for rid in topology.rings}
+    for rec in records:
+        expected[rec.route.source_ring] += rec.h_source
+        if rec.route.crosses_backbone:
+            expected[rec.route.dest_ring] += rec.h_dest
+    return {
+        rid: ring.allocated_sync_time - expected[rid]
+        for rid, ring in topology.rings.items()
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,7 +238,6 @@ class AdmissionController:
             ttrt=ring_s.ttrt,
         )
         choice = self.policy.select(ctx)
-        ctx.n_probes = len(probe_cache)
         n_probes = 1 + len(probe_cache)
         if choice is None:
             return AdmissionResult(
@@ -396,22 +420,11 @@ class AdmissionController:
             self.connections[conn_id].delay_bound = report.total_delay
 
     def audit_allocations(self) -> Dict[str, float]:
-        """Per-ring discrepancy: ledger total minus recorded allocations.
+        """:func:`ledger_discrepancies` of this controller's connections.
 
-        Every value must be ~0; a positive entry means the ring holds
-        synchronous time that no live connection accounts for (a leak), a
-        negative one that a record claims more than the ledger granted.
         Used by the survivability audit after fault-injection runs.
         """
-        expected: Dict[str, float] = {rid: 0.0 for rid in self.topology.rings}
-        for rec in self.connections.values():
-            expected[rec.route.source_ring] += rec.h_source
-            if rec.route.crosses_backbone:
-                expected[rec.route.dest_ring] += rec.h_dest
-        return {
-            rid: ring.allocated_sync_time - expected[rid]
-            for rid, ring in self.topology.rings.items()
-        }
+        return ledger_discrepancies(self.topology, self.connections.values())
 
     @property
     def admission_probability(self) -> float:

@@ -8,8 +8,8 @@ summed latencies), and take one horizontal deviation of the source envelope
 against the concatenated curve.  The source burst is then "paid" once
 instead of at every hop.
 
-Both are valid upper bounds; which is tighter depends on the route.  The
-ablation bench ``bench_concatenation.py`` compares them on the paper's
+Both are valid upper bounds; which is tighter depends on the route.
+``tests/core/test_concatenation.py`` compares them on the paper's
 network — an analysis the original authors could not run (the technique
 was contemporaneous), and a natural "future work" item.
 

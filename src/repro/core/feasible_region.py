@@ -7,8 +7,7 @@ plane; Theorem 4 that the overall region is their (convex) intersection
 clipped to the available rectangle.
 
 These helpers *map* the region empirically for a given network state.  They
-are used by tests (sampling convexity), by the feasible-region example, and
-by the ablation benches.
+are used by tests (sampling convexity) and by the feasible-region example.
 """
 
 from __future__ import annotations

@@ -42,10 +42,6 @@ class AllocationContext:
     ttrt: float = 0.0
     observed_min_need: Optional[Tuple[float, float]] = None
     observed_max_need: Optional[Tuple[float, float]] = None
-    #: Distinct probe points evaluated through ``check_feasible`` (filled
-    #: in by the controller after ``select`` returns; instrumentation for
-    #: the CAC benchmarks).
-    n_probes: int = 0
 
     def point(self, s: float) -> Tuple[float, float]:
         """The allocation at parameter ``s`` in [0, 1] along the segment.

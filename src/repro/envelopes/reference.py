@@ -3,13 +3,10 @@
 Every function here recomputes, with per-segment Python loops and scalar
 arithmetic, a quantity that the production code in
 :mod:`repro.envelopes.curve` / :mod:`repro.envelopes.operations` computes
-with vectorized numpy kernels.  They exist for two reasons:
-
-* **correctness oracle** — the property-based tests draw random curves and
-  assert that the vectorized kernels agree with these transparent
-  implementations within ``MONOTONE_RTOL``;
-* **benchmark baseline** — the ``envelopes`` bench suite reports each
-  kernel's speedup against its reference implementation.
+with vectorized numpy kernels.  They are a **correctness oracle**: the
+property-based tests draw random curves and assert that the vectorized
+kernels agree with these transparent implementations within
+``MONOTONE_RTOL``.
 
 They are deliberately *simple*, not fast: linear scans instead of binary
 search, per-point loops instead of array expressions.  Do not call them

@@ -15,13 +15,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
-from repro.core.cac import AdmissionController
+from repro.core.cac import LEAK_TOLERANCE, AdmissionController
 from repro.errors import ReproError
 from repro.units import MS_PER_S
-
-#: Ledger discrepancies below this (seconds of synchronous time) are
-#: floating-point noise, not leaks.
-LEAK_TOLERANCE = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,9 +3,9 @@
 These are the schemes of refs [1] (Agrawal, Chen, Zhao, Davari) and [24]
 (Zhang, Burns, Wellings) that the paper argues *cannot* be applied directly
 to a heterogeneous network.  They are implemented here as ablation
-baselines: the bench ``bench_ablation_policies`` compares the paper's
-feasible-region/beta allocation against a CAC that sizes each ring's
-allocation with one of these local rules.
+baselines; ``repro.core.policies.FDDILocalPolicy`` applies a rule of the
+same normalized-proportional family inside the heterogeneous CAC, for
+comparison with the paper's feasible-region/beta allocation.
 
 All schemes take the set of periodic messages on one ring (message size
 ``c_i`` bits, period/deadline ``p_i`` seconds) and return per-message

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 from repro.network.routing import Route
@@ -32,8 +33,8 @@ class ConnectionSpec:
     deadline: float
 
     def __post_init__(self) -> None:
-        if self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+        if not math.isfinite(self.deadline) or self.deadline <= 0:
+            raise ValueError("deadline must be positive and finite")
         if self.source_host == self.dest_host:
             raise ValueError("source and destination must differ")
 

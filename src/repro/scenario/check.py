@@ -37,14 +37,12 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import AnalysisConfig
+from repro.core.cac import LEAK_TOLERANCE
 from repro.core.delay import DelayAnalyzer
 from repro.errors import BufferOverflowError, UnstableSystemError
 from repro.scenario import codec, loader
 from repro.scenario.spec import AnalysisKnobs, ScenarioSpec
 
-#: Ledger discrepancies below this are floating-point noise, not leaks
-#: (same tolerance as the survivability audit).
-LEAK_TOLERANCE = 1e-9
 #: Slack for bound comparisons, seconds (pure float-accumulation noise).
 BOUND_TOLERANCE = 1e-9
 #: Segment budget for the coarsening check's *reference* analysis.  The

@@ -1,7 +1,7 @@
 """The admission-service bench: churn, overload, kill-and-restore.
 
-Four phases, mirroring the split :mod:`repro.bench_envelopes` uses —
-bit-reproducible *trajectories* gate CI, wall-clock numbers inform:
+Three gated phases, all bit-reproducible (the service's speed is
+measured by ``perfbench/``, workload ``service-repeat``):
 
 1. **trajectory** (always the same fixed scenario, gated): a scripted
    admit/release/reject/error workload through a fully deterministic
@@ -18,8 +18,6 @@ bit-reproducible *trajectories* gate CI, wall-clock numbers inform:
    simulate overload and shrink to simulate recovery — and verify the
    ladder walks up to FROZEN and back down to EXACT through the real
    measurement path.  Synthetic time makes the gate machine-independent.
-4. **perf** (informational): sustained admit/release churn — decisions
-   per second, p50/p99 decision latency.
 """
 
 from __future__ import annotations
@@ -28,10 +26,7 @@ import asyncio
 import json
 import os
 import tempfile
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.units import MS_PER_S
 
 from repro.config import (
     CACConfig,
@@ -441,53 +436,6 @@ def run_ladder(quick: bool) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Phase 4: perf churn (informational)
-# ---------------------------------------------------------------------------
-
-
-def run_perf(quick: bool) -> Dict[str, Any]:
-    rounds = 30 if quick else 120
-
-    async def _run() -> Dict[str, Any]:
-        with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
-            service = AdmissionService(
-                build_network(_network_config()),
-                network_config=_network_config(),
-                service_config=deterministic_config(snapshot_every=50),
-                journal_dir=os.path.join(tmp, "wal"),
-            )
-            await service.start()
-            # Standing background population, then admit/release churn.
-            await apply_ops(service, trajectory_ops())
-            t0 = time.perf_counter()
-            n0 = service.metrics.decision_latency.n
-            for r in range(rounds):
-                await service.submit_admit(
-                    _spec_of(
-                        _admit(
-                            f"churn-{r}",
-                            f"host{(r % 3) * 2 + 1}-1",
-                            f"host{(r % 3) * 2 + 2}-2",
-                        )
-                    )
-                )
-                await service.submit_release(f"churn-{r}")
-            elapsed = time.perf_counter() - t0
-            decided = service.metrics.decision_latency.n - n0
-            payload = {
-                "n_decisions": decided,
-                "decisions_per_sec": decided / elapsed if elapsed else 0.0,
-                "p50_ms": service.metrics.percentile(0.50) * MS_PER_S,
-                "p99_ms": service.metrics.percentile(0.99) * MS_PER_S,
-                "mean_ms": service.metrics.decision_latency.mean * MS_PER_S,
-            }
-            await service.stop()
-            return payload
-
-    return asyncio.run(_run())
-
-
-# ---------------------------------------------------------------------------
 # Suite driver and CI gate
 # ---------------------------------------------------------------------------
 
@@ -499,7 +447,6 @@ def run_service_bench(quick: bool = False) -> Dict[str, Any]:
         "trajectory": run_trajectory(),
         "recovery": run_recovery(quick),
         "ladder": run_ladder(quick),
-        "perf": run_perf(quick),
     }
 
 
@@ -510,7 +457,7 @@ def check_service_payload(
 
     The trajectory (verdicts, ``repr``-exact delay bounds, signature) and
     counters must match field-by-field; the recovery and ladder booleans
-    must hold in both payloads.  Perf numbers are never gated.
+    must hold in both payloads.
     """
     problems: List[str] = []
     mine = current.get("trajectory", {})

@@ -61,7 +61,7 @@ def dict_to_traffic(payload: Mapping[str, Any]) -> TrafficDescriptor:
         raise JournalError(f"unknown traffic type {name!r}")
     try:
         return cls(**data)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise JournalError(f"bad {name} payload: {exc}") from None
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Dict, Optional
 
 from repro.errors import JournalError, ReproError
@@ -31,6 +32,36 @@ from repro.service.server import AdmissionService
 
 def _error(reason: str, conn_id: str = "") -> Dict[str, Any]:
     return {"verdict": "ERROR", "conn_id": conn_id, "reason": reason}
+
+
+def _number(payload: Dict[str, Any], key: str) -> Optional[float]:
+    """``payload[key]`` as a finite float (``None`` when absent)."""
+    raw = payload.get(key)
+    if raw is None:
+        return None
+    try:
+        value = float(raw)
+    except (TypeError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {raw!r}")
+    return value
+
+
+def _timeout(payload: Dict[str, Any]) -> Optional[float]:
+    timeout = _number(payload, "timeout")
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout!r}")
+    return timeout
+
+
+def _priority(payload: Dict[str, Any]) -> int:
+    priority = _number(payload, "priority")
+    if priority is None:
+        return 0
+    if not priority.is_integer():
+        raise ValueError(f"priority must be an integer, got {priority!r}")
+    return int(priority)
 
 
 async def handle_request(
@@ -46,10 +77,11 @@ async def handle_request(
     if op == "release":
         if not conn_id:
             return _error("release needs conn_id")
-        timeout = payload.get("timeout")
-        response = await service.submit_release(
-            conn_id, timeout=None if timeout is None else float(timeout)
-        )
+        try:
+            timeout = _timeout(payload)
+        except ValueError as exc:
+            return _error(f"bad release request: {exc}", conn_id)
+        response = await service.submit_release(conn_id, timeout=timeout)
         return response.to_dict()
     if op == "admit":
         try:
@@ -60,13 +92,12 @@ async def handle_request(
                 traffic=dict_to_traffic(payload["traffic"]),
                 deadline=float(payload["deadline"]),
             )
-        except (KeyError, TypeError, ValueError, JournalError) as exc:
+            priority = _priority(payload)
+            timeout = _timeout(payload)
+        except (KeyError, TypeError, ValueError, OverflowError, JournalError) as exc:
             return _error(f"bad admit request: {exc}", conn_id)
-        timeout = payload.get("timeout")
         response = await service.submit_admit(
-            spec,
-            priority=int(payload.get("priority", 0)),
-            timeout=None if timeout is None else float(timeout),
+            spec, priority=priority, timeout=timeout
         )
         return response.to_dict()
     return _error(f"unknown op {op!r}", conn_id)

@@ -32,6 +32,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig
+from repro.core.cac import LEAK_TOLERANCE
 from repro.errors import AuditError, JournalError, ReproError, RoutingError
 from repro.faults.retry import RetryPolicy
 from repro.network.connection import ConnectionSpec
@@ -53,9 +54,19 @@ BUSY = "BUSY"
 UNKNOWN = "UNKNOWN"
 ERROR = "ERROR"
 
-#: Ledger discrepancies below this are float noise, not leaks (matches
-#: the survivability audit's tolerance).
-LEAK_TOLERANCE = 1e-9
+
+def _raise_on_leaks(state: ShardedAdmissionState, what: str) -> None:
+    """Raise :class:`AuditError` naming every ring whose ledger leaks."""
+    leaks = {
+        rid: diff
+        for rid, diff in state.audit_allocations().items()
+        if abs(diff) > LEAK_TOLERANCE
+    }
+    if leaks:
+        raise AuditError(
+            f"{what}: "
+            + ", ".join(f"{rid}: {diff:+.3e}s" for rid, diff in leaks.items())
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,16 +255,9 @@ class AdmissionService:
         if self.journal is not None:
             self._write_snapshot()
             self.journal.close()
-        leaks = {
-            rid: diff
-            for rid, diff in self.state.audit_allocations().items()
-            if abs(diff) > LEAK_TOLERANCE
-        }
-        if leaks:
-            raise AuditError(
-                "service shutdown audit found leaked synchronous bandwidth: "
-                + ", ".join(f"{rid}: {diff:+.3e}s" for rid, diff in leaks.items())
-            )
+        _raise_on_leaks(
+            self.state, "service shutdown audit found leaked synchronous bandwidth"
+        )
 
     async def simulate_kill(self) -> None:
         """Die abruptly: no drain, no final snapshot, no audit.
@@ -625,16 +629,7 @@ class AdmissionService:
         # when the tail is empty the snapshot seq is the high-water mark.
         if not tail.records:
             store.next_seq = snap_seq + 1
-        leaks = {
-            rid: diff
-            for rid, diff in service.state.audit_allocations().items()
-            if abs(diff) > LEAK_TOLERANCE
-        }
-        if leaks:
-            raise AuditError(
-                "restored state leaks synchronous bandwidth: "
-                + ", ".join(f"{rid}: {diff:+.3e}s" for rid, diff in leaks.items())
-            )
+        _raise_on_leaks(service.state, "restored state leaks synchronous bandwidth")
         report = RestoreReport(
             snapshot_seq=snap_seq,
             n_snapshot_records=n_snapshot_records,

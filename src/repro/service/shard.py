@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import CACConfig, NetworkConfig
-from repro.core.cac import AdmissionController, AdmissionResult
+from repro.core.cac import AdmissionController, AdmissionResult, ledger_discrepancies
 from repro.core.delay import route_port_names
 from repro.errors import ConfigurationError
 from repro.network.connection import ConnectionRecord, ConnectionSpec
@@ -236,18 +236,10 @@ class ShardedAdmissionState:
         """Cross-shard ledger audit: ring totals minus all live grants.
 
         The per-shard ``audit_allocations`` is meaningless here (each
-        ledger holds every shard's grants), so the expectation is summed
-        over the whole active set before diffing against the ledgers.
+        ledger holds every shard's grants), so the whole active set is
+        audited against the shared ledgers.
         """
-        expected: Dict[str, float] = {rid: 0.0 for rid in self.topology.rings}
-        for rec in self.active.values():
-            expected[rec.route.source_ring] += rec.h_source
-            if rec.route.crosses_backbone:
-                expected[rec.route.dest_ring] += rec.h_dest
-        return {
-            rid: ring.allocated_sync_time - expected[rid]
-            for rid, ring in self.topology.rings.items()
-        }
+        return ledger_discrepancies(self.topology, self.active.values())
 
     def stats(self) -> Dict[str, int]:
         return {

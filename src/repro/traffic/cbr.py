@@ -24,6 +24,7 @@ class CBRTraffic(TrafficDescriptor):
     packet_bits: float = 0.0
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
         if self.packet_bits < 0:

@@ -7,6 +7,7 @@ import math
 from typing import Iterator, Tuple
 
 from repro.envelopes.curve import Curve
+from repro.errors import ConfigurationError
 
 
 class TrafficDescriptor(abc.ABC):
@@ -17,6 +18,20 @@ class TrafficDescriptor(abc.ABC):
     ``A(I) = I * Gamma(I)`` as a piecewise-linear curve; :meth:`gamma`
     evaluates the rate form directly.
     """
+
+    def _require_finite(self) -> None:
+        """Refuse a NaN or infinite parameter; only ``peak`` may be ``+inf``.
+
+        NaN passes every ``<= 0`` range check, and an infinite budget or
+        period turns the envelope arithmetic into NaN mid-decision.
+        """
+        for name, value in vars(self).items():
+            if name == "peak" and value == math.inf:
+                continue
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{type(self).__name__}.{name} must be finite, got {value!r}"
+                )
 
     @abc.abstractmethod
     def envelope(self, horizon: float) -> Curve:

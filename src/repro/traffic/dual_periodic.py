@@ -51,6 +51,7 @@ class DualPeriodicTraffic(TrafficDescriptor):
     peak: float = math.inf
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.p1 <= 0 or self.p2 <= 0:
             raise ConfigurationError("periods must be positive")
         if self.c1 <= 0 or self.c2 <= 0:

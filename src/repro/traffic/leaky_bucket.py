@@ -26,6 +26,7 @@ class LeakyBucketTraffic(TrafficDescriptor):
     peak: float = math.inf
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.sigma < 0:
             raise ConfigurationError("burst sigma must be non-negative")
         if self.rho < 0:

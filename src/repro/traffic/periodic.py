@@ -25,6 +25,7 @@ class PeriodicTraffic(TrafficDescriptor):
     peak: float = math.inf
 
     def __post_init__(self) -> None:
+        self._require_finite()
         if self.c <= 0:
             raise ConfigurationError("message size c must be positive")
         if self.p <= 0:

@@ -17,6 +17,13 @@ from repro.network.routing import compute_route
 from repro.traffic import DualPeriodicTraffic
 
 TRAFFIC = DualPeriodicTraffic(c1=120_000.0, p1=0.015, c2=60_000.0, p2=0.005)
+#: Four cross-ring connections sharing the backbone.
+FOUR_PAIRS = [
+    ("host1-1", "host2-1"),
+    ("host1-2", "host3-1"),
+    ("host2-2", "host3-2"),
+    ("host3-3", "host1-3"),
+]
 
 
 def make_loads(topo, pairs, h=0.0015):
@@ -61,15 +68,16 @@ class TestConcatenatedBound:
         # The concatenated number must also upper-bound reality.
         from repro.sim.packet_sim import PacketLevelSimulator
 
-        topo = build_network()
-        loads = make_loads(topo, [("host1-1", "host2-1"), ("host1-2", "host3-1")])
-        reports = ConcatenationAnalyzer(topo).analyze(loads)
-        observed = PacketLevelSimulator(topo, loads, adversarial_phase=True).run(
-            duration=0.3
-        )
-        for cid, rep in reports.items():
-            assert observed.max_delay[cid] <= rep.concatenated_bound + 1e-9
-            assert observed.max_delay[cid] <= rep.additive_bound + 1e-9
+        for pairs in (FOUR_PAIRS[:2], FOUR_PAIRS):
+            topo = build_network()
+            loads = make_loads(topo, pairs)
+            reports = ConcatenationAnalyzer(topo).analyze(loads)
+            observed = PacketLevelSimulator(
+                topo, loads, adversarial_phase=True
+            ).run(duration=0.3)
+            for cid, rep in reports.items():
+                assert observed.max_delay[cid] <= rep.concatenated_bound + 1e-9
+                assert observed.max_delay[cid] <= rep.additive_bound + 1e-9
 
     def test_end_to_end_rate_is_bottleneck(self):
         topo = build_network()
@@ -89,9 +97,11 @@ class TestConcatenatedBound:
 
     def test_improvement_ratio_defined(self):
         topo = build_network()
-        loads = make_loads(topo, [("host1-1", "host2-1")])
-        report = ConcatenationAnalyzer(topo).analyze(loads)["c0"]
-        assert report.improvement > 0
+        for pairs in ([("host1-1", "host2-1")], FOUR_PAIRS):
+            reports = ConcatenationAnalyzer(topo).analyze(make_loads(topo, pairs))
+            for report in reports.values():
+                # Neither technique is wildly looser on these route shapes.
+                assert 0.2 < report.improvement < 5.0
 
     def test_cross_traffic_reduces_leftover(self):
         topo = build_network()

@@ -148,3 +148,40 @@ class TestCaching:
         d_lo = analyzer.compute([lo])["c1"].total_delay
         d_hi = analyzer.compute([hi])["c1"].total_delay
         assert d_lo != d_hi
+
+
+#: Four cross-ring connections of the paper's source at H = 1.5 ms.
+KNOB_TRAFFIC = DualPeriodicTraffic(c1=120_000.0, p1=0.015, c2=60_000.0, p2=0.005)
+KNOB_PAIRS = [
+    ("host1-1", "host2-1"),
+    ("host1-2", "host3-1"),
+    ("host2-2", "host3-2"),
+    ("host3-3", "host1-3"),
+]
+
+
+def bounds_with(topo, **analysis_kwargs):
+    loads = [
+        load(topo, f"c{i}", src, dst, h_s=0.0015, h_r=0.0015, traffic=KNOB_TRAFFIC)
+        for i, (src, dst) in enumerate(KNOB_PAIRS)
+    ]
+    analyzer = DelayAnalyzer(topo, analysis_config=AnalysisConfig(**analysis_kwargs))
+    return {cid: r.total_delay for cid, r in analyzer.compute(loads).items()}
+
+
+class TestApproximationKnobs:
+    """Both approximation knobs may only raise a bound, and not by much."""
+
+    def test_envelope_segment_cap_is_conservative(self, topo):
+        fine = bounds_with(topo, max_envelope_segments=256)
+        coarse = bounds_with(topo, max_envelope_segments=32)
+        for cid in fine:
+            # Within 2x at 32 segments; at 16 the loss grows to ~75 %,
+            # which is why the default cap is 96.
+            assert fine[cid] - 1e-9 <= coarse[cid] <= fine[cid] * 2.0
+
+    def test_output_delay_quantum_is_conservative(self, topo):
+        exact = bounds_with(topo, output_delay_quantum=0.0)
+        quantized = bounds_with(topo, output_delay_quantum=1e-3)
+        for cid in exact:
+            assert exact[cid] - 1e-9 <= quantized[cid] <= exact[cid] * 1.25

@@ -1,7 +1,10 @@
 """Tests for the experiment harness (fast, single-seed runs)."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.experiments.artifacts import read_series_csv
 from repro.experiments.common import (
     ExperimentSettings,
     SeriesResult,
@@ -17,9 +20,17 @@ from repro.experiments.ablations import (
     run_workload_ablation,
 )
 from repro.config import CACConfig
+from repro.core.policies import MaxAvailPolicy
 
 
 TINY = ExperimentSettings(n_requests=30, warmup_requests=3, seeds=(1,))
+#: Committed CSVs of Figures 7 and 8 (`python -m repro.experiments figure7|figure8`).
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+
+
+def _committed(name):
+    _, series = read_series_csv(str(RESULTS / name))
+    return {s.label: dict(zip(s.xs, s.ys)) for s in series}
 
 
 class TestCommon:
@@ -64,6 +75,23 @@ class TestFigureRuns:
         assert len(series) == 1
         assert series[0].label == "beta=0.5"
 
+    def test_figure7_committed_claims(self):
+        # Under heavy load an interior beta beats both extremes.
+        heavy = _committed("figure7.csv")["U=0.9"]
+        interior_best = max(v for beta, v in heavy.items() if 0.0 < beta < 1.0)
+        assert interior_best >= heavy[0.0]
+        assert interior_best >= heavy[1.0]
+
+    def test_figure8_committed_claims(self):
+        series = _committed("figure8.csv")
+        mid = series["beta=0.5"]
+        light, heavy = min(mid), max(mid)
+        # AP falls clearly with load ...
+        assert mid[light] - mid[heavy] > 0.1
+        # ... and beta = 0.5 is not dominated by the extremes when heavy.
+        assert mid[heavy] >= series["beta=1"][heavy]
+        assert mid[heavy] >= series["beta=0"][heavy] - 0.05
+
     def test_figure7_main_prints(self):
         out = __import__(
             "repro.experiments.figure7", fromlist=["main"]
@@ -76,6 +104,8 @@ class TestValidationRun:
         rows = run_validation(duration=0.2)
         assert len(rows) == 6
         assert all(r.holds for r in rows)
+        # The simulation exercises every path (no zero-delay fluke).
+        assert all(r.batches > 0 and r.observed_max > 0 for r in rows)
 
     def test_main_output(self):
         from repro.experiments.validation import main
@@ -89,16 +119,31 @@ class TestAblations:
         variants = (
             PolicyVariant("beta=0.5", cac_config=CACConfig(beta=0.5)),
             PolicyVariant("beta=0", cac_config=CACConfig(beta=0.0)),
+            PolicyVariant("max-avail", make_policy=MaxAvailPolicy),
+            PolicyVariant(
+                "origin-ray", cac_config=CACConfig(beta=0.5, use_origin_ray=True)
+            ),
         )
-        series = run_policy_ablation(TINY, utilizations=(0.3,), variants=variants)
-        assert [s.label for s in series] == ["beta=0.5", "beta=0"]
+        series = run_policy_ablation(TINY, utilizations=(0.9,), variants=variants)
+        assert [s.label for s in series] == [
+            "beta=0.5", "beta=0", "max-avail", "origin-ray"
+        ]
+        heavy = {s.label: s.ys[0] for s in series}
+        # Section 5.3: granting everything starves future requests.
+        assert heavy["max-avail"] <= heavy["beta=0.5"]
+        assert heavy["beta=0.5"] >= heavy["beta=0"] - 0.05
+        # The two readings of Step 3 perform in the same ballpark.
+        assert abs(heavy["beta=0.5"] - heavy["origin-ray"]) < 0.35
 
     def test_workload_ablation_runs(self):
         results = run_workload_ablation(
-            TINY, utilization=0.3, deadline_scales=(1.0,), burst_ratios=(2.0,)
+            TINY, utilization=0.3, deadline_scales=(0.75, 2.0), burst_ratios=(2.0,)
         )
         assert set(results) == {"deadline", "burstiness"}
-        assert len(results["deadline"][0].ys) == 1
+        by_scale = dict(zip(results["deadline"][0].xs, results["deadline"][0].ys))
+        assert sorted(by_scale) == [0.75, 2.0]
+        # Doubling every deadline does not hurt admission.
+        assert by_scale[2.0] >= by_scale[0.75] - 0.05
 
 
 class TestCLI:

@@ -1,5 +1,7 @@
 """Tests for topology construction, routing and connection objects."""
 
+import math
+
 import pytest
 
 from repro.atm import AtmSwitch
@@ -127,8 +129,9 @@ class TestConnectionSpec:
         assert spec.deadline == 0.1
 
     def test_nonpositive_deadline_rejected(self):
-        with pytest.raises(ValueError):
-            ConnectionSpec("c", "a", "b", PeriodicTraffic(c=1.0, p=1.0), 0.0)
+        for deadline in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ConnectionSpec("c", "a", "b", PeriodicTraffic(c=1.0, p=1.0), deadline)
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):

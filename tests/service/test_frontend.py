@@ -2,6 +2,9 @@
 
 import asyncio
 import json
+import math
+
+import pytest
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig, build_network
 from repro.service.bench import TickClock
@@ -26,12 +29,13 @@ ADMIT_C1 = {
 }
 
 
-def _service():
+def _service(journal_dir=None):
     return AdmissionService(
         build_network(NET),
         network_config=NET,
         cac_config=CACConfig(),
         service_config=ServiceConfig(snapshot_every=0),
+        journal_dir=journal_dir,
         clock=TickClock(),
     )
 
@@ -99,3 +103,61 @@ def test_tcp_round_trip_survives_malformed_lines():
     answers = asyncio.run(scenario())
     verdicts = [a["verdict"] for a in answers]
     assert verdicts == ["OK", "ERROR", "ADMITTED", "ERROR", "RELEASED"]
+
+
+def _bad_admit(**fields):
+    return {**ADMIT_C1, "conn_id": "bad", **fields}
+
+
+#: Requests the front end must refuse before they reach the dispatcher.
+BAD_REQUESTS = {
+    "deadline-nan": _bad_admit(deadline=math.nan),
+    "deadline-inf": _bad_admit(deadline=math.inf),
+    "traffic-c1-nan": _bad_admit(traffic={**ADMIT_C1["traffic"], "c1": math.nan}),
+    "traffic-p1-inf": _bad_admit(traffic={**ADMIT_C1["traffic"], "p1": math.inf}),
+    # An integer too large for a float overflows instead of parsing.
+    "traffic-c1-huge-int": _bad_admit(traffic={**ADMIT_C1["traffic"], "c1": 10**400}),
+    "deadline-huge-int": _bad_admit(deadline=10**400),
+    "priority-inf": _bad_admit(priority=math.inf),
+    "priority-fractional": _bad_admit(priority=1.5),
+    "priority-list": _bad_admit(priority=[1]),
+    "timeout-nan": _bad_admit(timeout=math.nan),
+    "timeout-zero": _bad_admit(timeout=0),
+    "release-timeout-negative": {"op": "release", "conn_id": "c0", "timeout": -1.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_non_finite_or_out_of_range_fields_answer_error(case, tmp_path):
+    """The bad line is answered ERROR, leaves state and journal untouched,
+    and the next request on the same connection is still served."""
+
+    async def scenario():
+        async with _service(journal_dir=str(tmp_path / "wal")) as service:
+            server = await asyncio.start_server(
+                lambda r, w: handle_connection(service, r, w), "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+                async def ask(request):
+                    writer.write((json.dumps(request) + "\n").encode())
+                    # A dead dispatcher never answers: time out, don't hang.
+                    line = await asyncio.wait_for(reader.readline(), timeout=10.0)
+                    return json.loads(line)
+
+                try:
+                    before = (service.signature(), service.journal.next_seq)
+                    answer = await ask(BAD_REQUESTS[case])
+                    after = (service.signature(), service.journal.next_seq)
+                    follow_up = await ask(ADMIT_C1)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return answer, before, after, follow_up
+
+    answer, before, after, follow_up = asyncio.run(scenario())
+    assert answer["verdict"] == "ERROR"
+    assert after == before
+    assert follow_up["verdict"] == "ADMITTED"

@@ -37,20 +37,15 @@ class TestCli:
         out_path = tmp_path / "bench.json"
         assert main(["bench", "--quick", "--output", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "repeat_admission_incremental" in out
+        assert "tr-hopeless" in out
         assert "decisions identical" in out
         import json
 
         payload = json.loads(out_path.read_text())
         assert payload["macro_decisions_identical"] is True
-        names = {r["name"] for r in payload["results"]}
-        assert "admission_decision_incremental" in names
-        speedups = [
-            r["speedup_vs_full"]
-            for r in payload["results"]
-            if r["name"].startswith("repeat_admission_incremental")
-        ]
-        assert speedups and speedups[0] > 0
+        steps = payload["decision_trajectory"]["decisions"]
+        assert [s["conn_id"] for s in steps][:3] == ["tr-1", "tr-2", "tr-hopeless"]
+        assert "results" not in payload
 
     def test_bench_command_no_file(self, capsys):
         assert main(["bench", "--quick", "--output", "-"]) == 0

@@ -9,12 +9,43 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.traffic import (
     CBRTraffic,
+    DualPeriodicTraffic,
     LeakyBucketTraffic,
     PeriodicTraffic,
     TraceTraffic,
     WorkloadGenerator,
     WorkloadSpec,
 )
+
+
+#: A valid parameter set of each journal-serializable descriptor.
+VALID_PARAMETERS = {
+    DualPeriodicTraffic: dict(c1=60_000.0, p1=0.015, c2=30_000.0, p2=0.005),
+    PeriodicTraffic: dict(c=100.0, p=0.01),
+    LeakyBucketTraffic: dict(sigma=1000.0, rho=1e5),
+    CBRTraffic: dict(rate=1e6, packet_bits=424.0),
+}
+FIELD_CASES = [
+    (cls, name) for cls, params in VALID_PARAMETERS.items() for name in params
+]
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls,name", FIELD_CASES, ids=[f"{c.__name__}.{n}" for c, n in FIELD_CASES]
+    )
+    def test_rejected(self, cls, name, value):
+        with pytest.raises(ConfigurationError):
+            cls(**{**VALID_PARAMETERS[cls], name: value})
+
+    @pytest.mark.parametrize(
+        "cls", [DualPeriodicTraffic, PeriodicTraffic, LeakyBucketTraffic]
+    )
+    def test_peak_nan_rejected_but_infinite_peak_allowed(self, cls):
+        with pytest.raises(ConfigurationError):
+            cls(**VALID_PARAMETERS[cls], peak=math.nan)
+        assert cls(**VALID_PARAMETERS[cls], peak=math.inf).peak_rate == math.inf
 
 
 class TestPeriodic:
