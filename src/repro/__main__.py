@@ -11,12 +11,9 @@ Commands
 ``experiments ...``
     Forwards to :mod:`repro.experiments` (``figure7``, ``figure8``,
     ``validation``, ``ablation-*``, ``survivability``, ``all``).
-``bench``
-    Run the tracked determinism gates (:mod:`repro.bench`) and write
-    ``BENCH_<suite>.json``; speed is measured by ``perfbench/run.py``.
 ``service ...``
-    Forwards to :mod:`repro.service` (``serve``, ``bench``, ``soak``,
-    ``replay``) — the standing admission-control server.
+    Forwards to :mod:`repro.service` (``serve``, ``soak``, ``replay``) —
+    the standing admission-control server.
 ``scenario ...``
     Forwards to :mod:`repro.scenario` (``generate``, ``replay``, ``fuzz``,
     ``manifest``) — unified scenario specs + differential fuzzing.
@@ -109,10 +106,6 @@ def main(argv=None) -> int:
         from repro.experiments.__main__ import main as experiments_main
 
         return experiments_main(argv[1:])
-    if argv[:1] == ["bench"]:
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv[:1] == ["lint"]:
         from repro.lint.__main__ import main as lint_main
 
@@ -149,12 +142,6 @@ def main(argv=None) -> int:
     )
 
     sub.add_parser(
-        "bench",
-        help="run the tracked determinism gates (writes BENCH_<suite>.json)",
-        add_help=False,
-    )
-
-    sub.add_parser(
         "lint",
         help="run reprolint, the domain-aware static analyzer (see repro.lint)",
         add_help=False,
@@ -162,7 +149,7 @@ def main(argv=None) -> int:
 
     sub.add_parser(
         "service",
-        help="standing admission-control service (serve/bench/soak/replay)",
+        help="standing admission-control service (serve/soak/replay)",
         add_help=False,
     )
 

@@ -138,7 +138,7 @@ class LRUCache:
     long sweep point crossing the threshold silently reverted every later
     probe to cold-cache cost.  LRU eviction keeps the hot working set
     resident; hit/miss/eviction counters feed the cache-health regression
-    tests and the bench report.
+    tests and the perfbench trace.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")

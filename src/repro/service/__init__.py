@@ -15,8 +15,9 @@ against live connection signalling, hardened end-to-end for faults:
 * :mod:`repro.service.journal` — the crash-recovery journal and snapshot
   store: a killed server restores bit-identically;
 * :mod:`repro.service.frontend` — a JSON-lines TCP front-end;
-* :mod:`repro.service.bench` — the churn/overload/kill-recovery bench
-  behind ``python -m repro service bench`` and ``BENCH_service.json``.
+* :mod:`repro.service.bench` — the fixed 6-ring scenario and scripted
+  workload shared by ``python -m repro service soak``, perfbench and the
+  service tests.
 """
 
 from __future__ import annotations

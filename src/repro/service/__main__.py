@@ -1,13 +1,12 @@
 """Command-line entry points: ``python -m repro service <command>``.
 
 * ``serve``  — run the JSON-lines TCP front-end on a fresh network;
-* ``bench``  — the churn/overload/kill-recovery bench (``BENCH_service.json``);
 * ``soak``   — a time-boxed churn soak with one injected node failure and
   one kill/restore cycle (the CI smoke job); exits non-zero on any leak,
   recovery mismatch, or missed degradation.  ``--scenario SPEC`` soaks the
   topology, analysis knobs and standing population of a scenario-spec file
   (e.g. a fuzz reproducer) instead of the built-in 6-ring setup;
-* ``replay`` — inspect a journal directory: restore it and report.
+* ``replay`` — inspect an existing journal directory: restore it and report.
   ``--scenario SPEC`` restores against a scenario-spec file's topology.
 """
 
@@ -24,13 +23,7 @@ from typing import List, Optional
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig, build_network
 from repro.service import frontend
-from repro.service.bench import (
-    _admit,
-    _spec_of,
-    run_and_check,
-    run_service_bench,
-    trajectory_ops,
-)
+from repro.service.bench import _admit, _spec_of, apply_ops, trajectory_ops
 from repro.service.server import AdmissionService
 
 
@@ -83,25 +76,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.check:
-        payload, problems = run_and_check(args.quick, args.check)
-    else:
-        payload, problems = run_service_bench(args.quick), []
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"[service bench written to {args.output}]")
-    else:
-        print(text)
-    for problem in problems:
-        print(f"CHECK FAILED: {problem}", file=sys.stderr)
-    if args.check and not problems:
-        print("service bench check: OK")
-    return 1 if problems else 0
-
-
 def cmd_soak(args: argparse.Namespace) -> int:
     """Churn for ~``--seconds``, fail/repair a node, kill and restore."""
     scenario = None
@@ -143,8 +117,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 journal_dir=wal,
             )
             await service.start()
-            from repro.service.bench import apply_ops
-
             if scenario is None:
                 await apply_ops(service, trajectory_ops())
             else:
@@ -222,6 +194,11 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    # Restoring opens the journal for append, which would create a
+    # missing directory and report an empty state as if it were real.
+    if not os.path.isdir(args.journal_dir):
+        print(f"no journal directory at {args.journal_dir!r}", file=sys.stderr)
+        return 1
     if args.scenario:
         _, config, cac_cfg = _load_scenario(args.scenario)
         service, report = AdmissionService.restore(
@@ -270,22 +247,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--rings", type=int, default=3)
     serve.add_argument("--journal-dir", default=None)
     serve.set_defaults(func=cmd_serve)
-
-    bench = sub.add_parser("bench", help="churn/overload/recovery bench")
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="write the JSON payload here ('-' or omitted: stdout)",
-    )
-    bench.add_argument(
-        "--check",
-        metavar="PATH",
-        default=None,
-        help="compare against a committed BENCH_service.json; non-zero "
-        "exit on trajectory or robustness-gate mismatch",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     soak = sub.add_parser(
         "soak", help="time-boxed churn with a node failure and kill/restore"

@@ -13,8 +13,9 @@ One request object per line, one response object per line, in order::
 Responses carry at least ``verdict`` (``ADMITTED``/``REJECTED``/``BUSY``/
 ``TIMEOUT``/``RELEASED``/``UNKNOWN``/``ERROR`` — or ``OK`` for
 ``ping``/``metrics``).  Malformed input never kills the connection: the
-offending line is answered with an ``ERROR`` verdict and parsing
-continues at the next line.
+offending line — unparsable, nested too deeply for the JSON decoder, or
+longer than the stream's line limit (64 KiB by default) — is answered
+with an ``ERROR`` verdict and parsing continues at the next line.
 """
 
 from __future__ import annotations
@@ -103,6 +104,21 @@ async def handle_request(
     return _error(f"unknown op {op!r}", conn_id)
 
 
+async def _send(writer: asyncio.StreamWriter, answer: Dict[str, Any]) -> None:
+    writer.write((json.dumps(answer) + "\n").encode())
+    await writer.drain()
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Consume the rest of an over-long line, newline included."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+
+
 async def handle_connection(
     service: AdmissionService,
     reader: asyncio.StreamReader,
@@ -111,7 +127,16 @@ async def handle_connection(
     """Serve one client: read JSON lines, answer JSON lines."""
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # last line without a newline, or EOF
+            except asyncio.LimitOverrunError:
+                # ``readline`` would raise ValueError here and leave the
+                # line's unread tail to be parsed as the next request.
+                await _send(writer, _error("request line too long"))
+                await _skip_line(reader)
+                continue
             if not line:
                 break
             text = line.decode("utf-8", "replace").strip()
@@ -122,12 +147,11 @@ async def handle_connection(
                 if not isinstance(payload, dict):
                     raise ValueError("request must be a JSON object")
                 answer = await handle_request(service, payload)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 answer = _error(f"unparsable request: {exc}")
             except ReproError as exc:
                 answer = _error(f"{type(exc).__name__}: {exc}")
-            writer.write((json.dumps(answer) + "\n").encode())
-            await writer.drain()
+            await _send(writer, answer)
     except (ConnectionResetError, asyncio.IncompleteReadError):
         pass
     finally:

@@ -6,6 +6,10 @@ controllers that differ only in ``CACConfig.incremental``; every
 externally visible number (decisions, delay bounds, probe counts, refresh
 results, AP counters, the allocation audit) must match exactly.
 
+The same holds on a standing 8-ring population, whose pinned decision
+trajectory (``repr``-exact bounds and allocations, probe counts) is the
+CAC's golden test: any numerical drift on the admission path fails it.
+
 Also home to the :class:`repro.core.LRUCache` unit tests, including the
 regression for the old clear-at-limit behavior (which threw the whole
 working set away at 20k entries and tanked the hit rate mid-sweep).
@@ -15,7 +19,7 @@ import random
 
 import pytest
 
-from repro.config import CACConfig, build_network
+from repro.config import CACConfig, NetworkConfig, build_network
 from repro.core import AdmissionController, LRUCache
 from repro.network.connection import ConnectionSpec
 from repro.traffic import DualPeriodicTraffic
@@ -24,6 +28,28 @@ TRAFFIC = DualPeriodicTraffic(c1=240_000.0, p1=0.030, c2=80_000.0, p2=0.005)
 BURSTY = DualPeriodicTraffic(c1=120_000.0, p1=0.015, c2=60_000.0, p2=0.005)
 
 HOSTS = [f"host{r}-{h}" for r in (1, 2, 3) for h in (1, 2, 3, 4)]
+
+#: Light per-connection load, so each ring holds a standing population.
+STANDING = DualPeriodicTraffic(c1=60_000.0, p1=0.015, c2=30_000.0, p2=0.005)
+
+
+def standing_controller(incremental: bool) -> AdmissionController:
+    """8 rings with seven connections on each ring pair (1,2), (3,4), ...
+
+    Each pair is one interference component, so a request on one pair
+    leaves the other three clean for the incremental engine.
+    """
+    cac = AdmissionController(
+        build_network(NetworkConfig(n_rings=8)),
+        cac_config=CACConfig(beta=0.5, incremental=incremental),
+    )
+    k = 0
+    for a in range(1, 8, 2):
+        for j in range(7):
+            src, dst = f"host{a}-{(j % 4) + 1}", f"host{a + 1}-{((j + 1) % 4) + 1}"
+            assert cac.request(ConnectionSpec(f"bg{k}", src, dst, STANDING, 0.09)).admitted
+            k += 1
+    return cac
 
 
 def run_sequence(incremental: bool, seed: int, steps: int = 36) -> list:
@@ -101,6 +127,26 @@ class TestIncrementalEquivalence:
         for step_full, step_incr in zip(full, incr):
             assert step_full == step_incr  # exact — including float bounds
 
+    def test_probe_rounds_on_standing_population_bit_identical(self):
+        """Admit and release one probe ten times: full recomputation
+        re-analyzes all four components per probe, the incremental engine
+        only the dirty one."""
+        trails = []
+        for incremental in (False, True):
+            cac = standing_controller(incremental)
+            trail = []
+            for r in range(10):
+                spec = ConnectionSpec(f"probe-{r}", "host1-2", "host2-3", STANDING, 0.09)
+                res = cac.request(spec)
+                if res.admitted:
+                    cac.release(spec.conn_id)
+                # The standing bounds too: the incremental engine reuses
+                # the clean components' reports instead of recomputing them.
+                bounds = sorted((c, rec.delay_bound) for c, rec in cac.connections.items())
+                trail.append((res.admitted, res.delay_bound, res.h_min_need, res.n_probes, bounds))
+            trails.append(trail)
+        assert trails[0] == trails[1]
+
     def test_engine_actually_reuses_components(self):
         """The equivalence above must not hold vacuously (all-full)."""
         cac = AdmissionController(
@@ -120,6 +166,55 @@ class TestIncrementalEquivalence:
         stats = cac.engine.stats()
         assert stats["loads_reused"] > 0
         assert stats["partial_computations"] > 0
+
+
+#: Admit/release script over the standing population.
+TRAJECTORY = (
+    ("admit", "tr-1", "host1-2", "host2-3", 0.09),
+    ("admit", "tr-2", "host3-1", "host4-2", 0.09),
+    # Sub-2-TTRT deadline: hopeless, rejected before delay analysis.
+    ("admit", "tr-hopeless", "host1-2", "host2-3", 0.012),
+    ("release", "tr-1"),
+    ("admit", "tr-3", "host5-4", "host6-1", 0.09),
+    ("admit", "tr-4", "host1-2", "host2-3", 0.09),
+    ("release", "tr-2"),
+    ("release", "tr-3"),
+    ("release", "tr-4"),
+)
+#: Each admit's outcome: (conn_id, admitted, repr(delay_bound),
+#: repr(h_min_need), n_probes).
+PINNED_DECISIONS = [
+    ("tr-1", True, "0.082934987654321",
+     ("0.0004522992273117744", "0.0004522992273117744"), 17),
+    ("tr-2", True, "0.082934987654321",
+     ("0.0004522992273117744", "0.0004522992273117744"), 17),
+    ("tr-hopeless", False, None, None, 0),
+    ("tr-3", True, "0.082934987654321",
+     ("0.0004522992273117744", "0.0004522992273117744"), 17),
+    ("tr-4", True, "0.082934987654321",
+     ("0.0004522992273117744", "0.0004522992273117744"), 17),
+]
+
+
+def test_decision_trajectory_is_pinned():
+    cac = standing_controller(incremental=True)
+    decisions = []
+    for step in TRAJECTORY:
+        if step[0] == "release":
+            cac.release(step[1])
+            continue
+        _, cid, src, dst, deadline = step
+        res = cac.request(ConnectionSpec(cid, src, dst, STANDING, deadline))
+        decisions.append(
+            (
+                cid,
+                res.admitted,
+                None if res.delay_bound is None else repr(res.delay_bound),
+                None if res.h_min_need is None else tuple(map(repr, res.h_min_need)),
+                res.n_probes,
+            )
+        )
+    assert decisions == PINNED_DECISIONS
 
 
 class TestLRUCache:

@@ -8,18 +8,30 @@ suppressions).
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import repro.lint.__main__ as lint_cli
-from repro.lint import format_report, lint_paths
+from repro.lint import ALL_RULES, format_report, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
 
+#: The rule catalog, in run order.  Adding, removing or renumbering a rule
+#: must update this list.
+RULE_CATALOG = ["RL001", "RL002", "RL003", "RL004", "RL006", "RL007", "RL008"]
+#: Ceiling on one full-tree lint, in seconds: an order of magnitude above
+#: the observed time, so it catches an accidentally super-linear rule, not
+#: machine jitter.
+LINT_BUDGET_S = 10.0
+
 
 def test_src_tree_is_lint_clean():
+    t0 = time.perf_counter()
     findings = lint_paths([str(SRC)])
+    elapsed = time.perf_counter() - t0
     assert findings == [], "\n" + format_report(findings)
+    assert elapsed < LINT_BUDGET_S, f"full-tree lint took {elapsed:.1f} s"
 
 
 def test_cli_exits_zero_on_repo():
@@ -57,15 +69,8 @@ def test_standalone_tool_runs():
         text=True,
     )
     assert proc.returncode == 0
-    for code in (
-        "RL001",
-        "RL002",
-        "RL003",
-        "RL004",
-        "RL006",
-        "RL007",
-        "RL008",
-    ):
+    assert [rule.code for rule in ALL_RULES] == RULE_CATALOG
+    for code in RULE_CATALOG:
         assert code in proc.stdout
 
 

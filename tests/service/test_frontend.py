@@ -109,7 +109,8 @@ def _bad_admit(**fields):
     return {**ADMIT_C1, "conn_id": "bad", **fields}
 
 
-#: Requests the front end must refuse before they reach the dispatcher.
+#: Requests the front end must refuse before they reach the dispatcher:
+#: request objects, or raw lines sent as they are.
 BAD_REQUESTS = {
     "deadline-nan": _bad_admit(deadline=math.nan),
     "deadline-inf": _bad_admit(deadline=math.inf),
@@ -124,6 +125,10 @@ BAD_REQUESTS = {
     "timeout-nan": _bad_admit(timeout=math.nan),
     "timeout-zero": _bad_admit(timeout=0),
     "release-timeout-negative": {"op": "release", "conn_id": "c0", "timeout": -1.0},
+    # An otherwise valid admit longer than the stream's 64 KiB line limit.
+    "line-over-stream-limit": json.dumps(_bad_admit(padding="x" * 2**16)),
+    # Deeper than the JSON decoder's recursion limit.
+    "json-nested-too-deep": "[" * 30_000,
 }
 
 
@@ -142,7 +147,8 @@ def test_non_finite_or_out_of_range_fields_answer_error(case, tmp_path):
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
 
                 async def ask(request):
-                    writer.write((json.dumps(request) + "\n").encode())
+                    raw = request if isinstance(request, str) else json.dumps(request)
+                    writer.write((raw + "\n").encode())
                     # A dead dispatcher never answers: time out, don't hang.
                     line = await asyncio.wait_for(reader.readline(), timeout=10.0)
                     return json.loads(line)

@@ -17,6 +17,28 @@ def small_run(**kw):
 
 
 class TestConnectionSimulator:
+    @pytest.mark.parametrize(
+        "beta, n_requests, n_admitted, n_rejected_cac, admission_probability",
+        [
+            (0.0, 16, 1, 15, "0.0625"),
+            (0.5, 16, 5, 11, "0.3125"),
+            (1.0, 16, 2, 14, "0.125"),
+        ],
+    )
+    def test_figure7_slice_is_pinned(
+        self, beta, n_requests, n_admitted, n_rejected_cac, admission_probability
+    ):
+        """A figure-7 point's decision trajectory, exactly: any drift in
+        the envelope algebra that flips one admission shows here."""
+        res = small_run(utilization=0.6, beta=beta, seed=1, n_requests=20, warmup_requests=4)
+        m = res.metrics
+        assert (
+            m.n_requests,
+            m.n_admitted,
+            m.n_rejected_cac,
+            repr(res.admission_probability),
+        ) == (n_requests, n_admitted, n_rejected_cac, admission_probability)
+
     def test_runs_to_completion(self):
         res = small_run()
         assert res.metrics.n_requests > 0

@@ -33,20 +33,8 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_bench_command_quick(self, capsys, tmp_path):
-        out_path = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--output", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tr-hopeless" in out
-        assert "decisions identical" in out
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["macro_decisions_identical"] is True
-        steps = payload["decision_trajectory"]["decisions"]
-        assert [s["conn_id"] for s in steps][:3] == ["tr-1", "tr-2", "tr-hopeless"]
-        assert "results" not in payload
-
-    def test_bench_command_no_file(self, capsys):
-        assert main(["bench", "--quick", "--output", "-"]) == 0
-        assert "written to" not in capsys.readouterr().out
+    def test_service_replay_refuses_missing_directory(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-journal"
+        assert main(["service", "replay", str(missing)]) != 0
+        assert "no journal directory" in capsys.readouterr().err
+        assert not missing.exists()
