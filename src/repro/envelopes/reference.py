@@ -241,15 +241,12 @@ def ref_horizontal_deviation(
     return max(best, 0.0)
 
 
-def ref_deconvolve(
-    arrival: Curve, service: Curve, t_limit: float, i_max: float | None = None
-) -> Curve:
+def ref_deconvolve(arrival: Curve, service: Curve, t_limit: float) -> Curve:
     """``O(I) = sup_{0 <= t <= t_limit} [A(t + I) - S(t)]`` by nested loops."""
     if not math.isfinite(t_limit):
         raise ValueError("deconvolution needs a finite busy interval")
     t_limit = max(0.0, t_limit)
-    if i_max is None:
-        i_max = arrival.last_breakpoint + t_limit + EPS
+    i_max = arrival.last_breakpoint + t_limit + EPS
 
     t_cands = {0.0, t_limit}
     for x in list(service.xs) + [t_limit]:

@@ -14,12 +14,15 @@ Theorem 1 then gives, for an input envelope ``A(t) = t * Gamma(t)``:
 4. the output envelope ``Gamma'(I) = min(BW, Upsilon(I))`` with
    ``Upsilon(I) = max_{0 <= t <= B} [A(t + I) - avail(t)] / I``.
 
-Each maps directly onto an exact envelope-algebra operation.
+Each maps directly onto an envelope-algebra operation.  :func:`theorem1`
+runs them for any station served once per token rotation; the 802.5 MAC
+server of Section 7 shares it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.envelopes.curve import Curve
 from repro.envelopes.operations import (
@@ -32,6 +35,99 @@ from repro.envelopes.staircase import timed_token_staircase
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
 from repro.servers.base import DedicatedServer, ServerAnalysis
 from repro.units import MS_PER_S
+
+if TYPE_CHECKING:
+    from repro.fddi.token_ring_802_5 import TokenRing8025MacServer
+
+
+class Theorem1Wording(NamedTuple):
+    """The error messages of one server's :func:`theorem1`.
+
+    Each is a ``str.format`` template over ``name``, ``arrival_rate``,
+    ``rate``, ``backlog`` and ``buffer``.
+    """
+
+    zero_allocation: str
+    overload: str
+    unbounded_busy: str
+    overflow: str
+    unbounded_delay: str
+
+
+def theorem1(
+    server: "FDDIMacServer | TokenRing8025MacServer",
+    arrival: Curve,
+    allocation: float,
+    rotation: float,
+    wording: Theorem1Wording,
+) -> ServerAnalysis:
+    """Theorem 1 for ``arrival`` at a station served once per token rotation.
+
+    ``allocation`` is the station's transmission time per token visit and
+    ``rotation`` the bound on the time between visits (TTRT, or an 802.5
+    token cycle); ``server.availability`` is the staircase they define.
+    """
+    name = server.name
+    if allocation == 0.0:
+        raise UnstableSystemError(wording.zero_allocation.format(name=name))
+    rate = server.guaranteed_rate
+    if arrival.final_slope > rate * (1 + 1e-12):
+        raise UnstableSystemError(
+            wording.overload.format(
+                name=name, arrival_rate=arrival.final_slope, rate=rate
+            )
+        )
+
+    # Adaptively size the exact staircase horizon to cover the busy
+    # interval.  The affine tail under-estimates service, so a busy
+    # interval computed within the horizon is exact; one that lands in
+    # the tail region prompts a larger horizon.
+    n_steps = 32
+    while True:
+        avail = server.availability(n_steps)
+        b = busy_interval(arrival, avail)
+        if math.isinf(b):
+            raise UnstableSystemError(wording.unbounded_busy.format(name=name))
+        if b <= (n_steps - 1) * rotation or n_steps >= server.max_steps:
+            break
+        n_steps = min(server.max_steps, n_steps * 4)
+
+    backlog = vertical_deviation(arrival, avail, t_max=b)
+    if backlog > server.buffer_bits + 1e-9:
+        raise BufferOverflowError(
+            wording.overflow.format(
+                name=name, backlog=backlog, buffer=server.buffer_bits
+            )
+        )
+    delay = horizontal_deviation(arrival, avail, t_max=b)
+    if math.isinf(delay):
+        raise UnstableSystemError(wording.unbounded_delay.format(name=name))
+
+    # Theorem 1(4): output envelope, capped at the ring rate.
+    output = deconvolve(arrival, avail, t_limit=b).minimum(
+        Curve.affine(0.0, server.bandwidth)
+    )
+    return ServerAnalysis(
+        delay_bound=delay,
+        output=output,
+        backlog_bound=backlog,
+        busy_interval=b,
+    )
+
+
+_FDDI_WORDING = Theorem1Wording(
+    zero_allocation="{name}: zero synchronous allocation cannot serve traffic",
+    overload=(
+        "{name}: arrival rate {arrival_rate:.6g} b/s exceeds "
+        "guaranteed synchronous rate {rate:.6g} b/s"
+    ),
+    unbounded_busy="{name}: busy interval is unbounded",
+    overflow=(
+        "{name}: worst-case backlog {backlog:.6g} bits exceeds "
+        "buffer {buffer:.6g} bits"
+    ),
+    unbounded_delay="{name}: unbounded delay (service plateau below arrivals)",
+)
 
 
 class FDDIMacServer(DedicatedServer):
@@ -121,55 +217,7 @@ class FDDIMacServer(DedicatedServer):
             If the worst-case backlog exceeds ``buffer_bits`` (Theorem 1
             case ``F > S``: infinite delay).
         """
-        if self.sync_time == 0.0:
-            raise UnstableSystemError(
-                f"{self.name}: zero synchronous allocation cannot serve traffic"
-            )
-        rate = self.guaranteed_rate
-        if arrival.final_slope > rate * (1 + 1e-12):
-            raise UnstableSystemError(
-                f"{self.name}: arrival rate {arrival.final_slope:.6g} b/s exceeds "
-                f"guaranteed synchronous rate {rate:.6g} b/s"
-            )
-
-        # Adaptively size the exact staircase horizon to cover the busy
-        # interval.  The affine tail under-estimates service, so a busy
-        # interval computed within the horizon is exact; one that lands in
-        # the tail region prompts a larger horizon.
-        n_steps = 32
-        while True:
-            avail = self.availability(n_steps)
-            b = busy_interval(arrival, avail)
-            if math.isinf(b):
-                raise UnstableSystemError(
-                    f"{self.name}: busy interval is unbounded"
-                )
-            if b <= (n_steps - 1) * self.ttrt or n_steps >= self.max_steps:
-                break
-            n_steps = min(self.max_steps, n_steps * 4)
-
-        backlog = vertical_deviation(arrival, avail, t_max=b)
-        if backlog > self.buffer_bits + 1e-9:
-            raise BufferOverflowError(
-                f"{self.name}: worst-case backlog {backlog:.6g} bits exceeds "
-                f"buffer {self.buffer_bits:.6g} bits"
-            )
-        delay = horizontal_deviation(arrival, avail, t_max=b)
-        if math.isinf(delay):
-            raise UnstableSystemError(
-                f"{self.name}: unbounded delay (service plateau below arrivals)"
-            )
-
-        # Theorem 1(4): output envelope, capped at the ring rate.
-        raw_output = deconvolve(arrival, avail, t_limit=b)
-        output = raw_output.minimum(Curve.affine(0.0, self.bandwidth))
-
-        return ServerAnalysis(
-            delay_bound=delay,
-            output=output,
-            backlog_bound=backlog,
-            busy_interval=b,
-        )
+        return theorem1(self, arrival, self.sync_time, self.ttrt, _FDDI_WORDING)
 
     def cache_key(self):
         return (

@@ -20,7 +20,7 @@ The guaranteed service is therefore the staircase
 
 — the same shape as Theorem 1's timed-token staircase with ``T_cycle``
 playing TTRT's role, which is why the rest of the analysis carries over
-verbatim.
+verbatim: both servers run :func:`repro.fddi.mac_server.theorem1`.
 """
 
 from __future__ import annotations
@@ -29,16 +29,22 @@ import math
 from typing import Sequence
 
 from repro.envelopes.curve import Curve
-from repro.envelopes.operations import (
-    busy_interval,
-    deconvolve,
-    horizontal_deviation,
-    vertical_deviation,
-)
 from repro.envelopes.staircase import timed_token_staircase
-from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
+from repro.errors import ConfigurationError
+from repro.fddi.mac_server import Theorem1Wording, theorem1
 from repro.servers.base import DedicatedServer, ServerAnalysis
 from repro.units import MS_PER_S
+
+_WORDING = Theorem1Wording(
+    zero_allocation="{name}: zero holding time cannot serve traffic",
+    overload=(
+        "{name}: arrival rate {arrival_rate:.6g} b/s exceeds "
+        "guaranteed rate {rate:.6g} b/s"
+    ),
+    unbounded_busy="{name}: unbounded busy interval",
+    overflow="{name}: backlog {backlog:.6g} bits exceeds buffer",
+    unbounded_delay="{name}: unbounded delay",
+)
 
 
 class TokenRing8025MacServer(DedicatedServer):
@@ -112,41 +118,8 @@ class TokenRing8025MacServer(DedicatedServer):
         )
 
     def analyze(self, arrival: Curve) -> ServerAnalysis:
-        if self.holding_time == 0.0:
-            raise UnstableSystemError(
-                f"{self.name}: zero holding time cannot serve traffic"
-            )
-        rate = self.guaranteed_rate
-        if arrival.final_slope > rate * (1 + 1e-12):
-            raise UnstableSystemError(
-                f"{self.name}: arrival rate {arrival.final_slope:.6g} b/s exceeds "
-                f"guaranteed rate {rate:.6g} b/s"
-            )
-        n_steps = 32
-        while True:
-            avail = self.availability(n_steps)
-            b = busy_interval(arrival, avail)
-            if math.isinf(b):
-                raise UnstableSystemError(f"{self.name}: unbounded busy interval")
-            if b <= (n_steps - 1) * self.cycle_time or n_steps >= self.max_steps:
-                break
-            n_steps = min(self.max_steps, n_steps * 4)
-        backlog = vertical_deviation(arrival, avail, t_max=b)
-        if backlog > self.buffer_bits + 1e-9:
-            raise BufferOverflowError(
-                f"{self.name}: backlog {backlog:.6g} bits exceeds buffer"
-            )
-        delay = horizontal_deviation(arrival, avail, t_max=b)
-        if math.isinf(delay):
-            raise UnstableSystemError(f"{self.name}: unbounded delay")
-        output = deconvolve(arrival, avail, t_limit=b).minimum(
-            Curve.affine(0.0, self.bandwidth)
-        )
-        return ServerAnalysis(
-            delay_bound=delay,
-            output=output,
-            backlog_bound=backlog,
-            busy_interval=b,
+        return theorem1(
+            self, arrival, self.holding_time, self.cycle_time, _WORDING
         )
 
     def cache_key(self):

@@ -22,6 +22,7 @@ from repro.envelopes.operations import (
     horizontal_deviation,
     vertical_deviation,
 )
+from repro.envelopes.staircase import timed_token_staircase
 
 RTOL = MONOTONE_RTOL
 
@@ -173,6 +174,25 @@ class TestDeviationsMatchOracle:
         got = deconvolve(a, s, t_limit=b)
         want = ref.ref_deconvolve(a, s, t_limit=b)
         _assert_curves_agree(got, want, context="deconvolve")
+
+    @given(curves, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_deconvolve_timed_token_staircase(self, a, data):
+        # The services Theorem 1 passes: flat spans between jumps at
+        # k * TTRT, an affine tail past n_steps, and sometimes a
+        # staircase rounded down by coarsening (still flat spans).
+        ttrt = data.draw(st.floats(0.2, 2.0))
+        rate = a.final_slope * data.draw(st.floats(1.05, 3.0)) + 0.5
+        n_steps = data.draw(st.integers(2, 12))
+        s = timed_token_staircase(rate * ttrt, ttrt, 1.0, n_steps=n_steps)
+        if data.draw(st.booleans()):
+            s = s.coarsen(data.draw(st.integers(8, 12)), direction="lower")
+        b = busy_interval(a, s)
+        if math.isinf(b):
+            return
+        got = deconvolve(a, s, t_limit=b)
+        want = ref.ref_deconvolve(a, s, t_limit=b)
+        _assert_curves_agree(got, want, context="deconvolve/staircase")
 
 
 class TestCoarsenConservative:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.envelopes.curve import Curve
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
-from repro.fddi import FDDIMacServer
+from repro.fddi import FDDIMacServer, TokenRing8025MacServer
 from repro.traffic import DualPeriodicTraffic, PeriodicTraffic
 from repro.units import MBIT
 
@@ -160,3 +160,66 @@ class TestAdaptiveHorizon:
         r = s.analyze(env)
         assert math.isfinite(r.delay_bound)
         assert r.busy_interval > 32 * TTRT
+
+
+class TestErrorMessages:
+    """FDDI and 802.5 share one Theorem-1 routine but keep their wording."""
+
+    @pytest.mark.parametrize(
+        "server, arrival, error, message",
+        [
+            (
+                FDDIMacServer(0.0, TTRT, BW, name="st"),
+                Curve.constant(100.0),
+                UnstableSystemError,
+                "st: zero synchronous allocation cannot serve traffic",
+            ),
+            (
+                TokenRing8025MacServer(0.0, TTRT, BW, name="st"),
+                Curve.constant(100.0),
+                UnstableSystemError,
+                "st: zero holding time cannot serve traffic",
+            ),
+            (
+                FDDIMacServer(0.001, TTRT, BW, name="st"),
+                Curve.affine(0.0, 20 * MBIT),
+                UnstableSystemError,
+                "st: arrival rate 2e+07 b/s exceeds guaranteed synchronous "
+                "rate 1.25e+07 b/s",
+            ),
+            (
+                TokenRing8025MacServer(0.001, TTRT, BW, name="st"),
+                Curve.affine(0.0, 20 * MBIT),
+                UnstableSystemError,
+                "st: arrival rate 2e+07 b/s exceeds guaranteed rate 1.25e+07 b/s",
+            ),
+            (
+                FDDIMacServer(0.001, TTRT, BW, name="st"),
+                Curve.affine(1000.0, 12.5 * MBIT),
+                UnstableSystemError,
+                "st: busy interval is unbounded",
+            ),
+            (
+                TokenRing8025MacServer(0.001, TTRT, BW, name="st"),
+                Curve.affine(1000.0, 12.5 * MBIT),
+                UnstableSystemError,
+                "st: unbounded busy interval",
+            ),
+            (
+                FDDIMacServer(0.001, TTRT, BW, buffer_bits=1000.0, name="st"),
+                Curve.constant(50_000.0),
+                BufferOverflowError,
+                "st: worst-case backlog 50000 bits exceeds buffer 1000 bits",
+            ),
+            (
+                TokenRing8025MacServer(0.001, TTRT, BW, buffer_bits=1000.0, name="st"),
+                Curve.constant(50_000.0),
+                BufferOverflowError,
+                "st: backlog 50000 bits exceeds buffer",
+            ),
+        ],
+    )
+    def test_wording(self, server, arrival, error, message):
+        with pytest.raises(error) as caught:
+            server.analyze(arrival)
+        assert str(caught.value) == message
