@@ -24,11 +24,7 @@ from typing import Sequence
 
 from repro.atm.link import AtmLink
 from repro.envelopes.curve import Curve, sum_curves
-from repro.envelopes.operations import (
-    busy_interval,
-    horizontal_deviation,
-    vertical_deviation,
-)
+from repro.envelopes.operations import FifoBounds, horizontal_deviation
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
 from repro.servers.base import ServerAnalysis, SharedServer
 
@@ -92,10 +88,11 @@ class OutputPortServer(SharedServer):
                 f"{self.name}: aggregate rate {aggregate.final_slope:.6g} b/s "
                 f"exceeds link payload rate {self.service_rate:.6g} b/s"
             )
-        b = busy_interval(aggregate, service)
+        bounds = FifoBounds(aggregate, service)
+        b = bounds.busy
         if math.isinf(b):
             raise UnstableSystemError(f"{self.name}: unbounded busy period")
-        backlog = vertical_deviation(aggregate, service, t_max=b)
+        backlog = bounds.backlog()
         if backlog > self.buffer_bits + 1e-9:
             raise BufferOverflowError(
                 f"{self.name}: worst-case backlog {backlog:.6g} bits exceeds "
@@ -107,9 +104,7 @@ class OutputPortServer(SharedServer):
 
         # FIFO output bound: the tagged envelope advanced by the delay bound,
         # capped at the link payload rate (cells leave serialized).
-        output = tagged.shift_left(delay).minimum(
-            Curve.affine(0.0, self.service_rate)
-        )
+        output = tagged.shift_left(delay).cap(self.service_rate)
         return ServerAnalysis(
             delay_bound=delay,
             output=output,

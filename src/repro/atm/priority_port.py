@@ -28,10 +28,9 @@ from repro.atm.cell import CELL_BITS
 from repro.atm.link import AtmLink
 from repro.envelopes.curve import Curve, sum_curves
 from repro.envelopes.operations import (
-    busy_interval,
+    FifoBounds,
     horizontal_deviation,
     token_bucket_majorant,
-    vertical_deviation,
 )
 from repro.errors import ConfigurationError, UnstableSystemError
 from repro.servers.base import ServerAnalysis
@@ -111,13 +110,14 @@ class PriorityOutputPortServer:
                 )
             latency = (sigma_h + self.blocking_bits) / leftover_rate
             leftover = Curve.rate_latency(leftover_rate, latency)
-            b = busy_interval(class_aggregate, leftover)
+            bounds = FifoBounds(class_aggregate, leftover)
+            b = bounds.busy
             if math.isinf(b):
                 raise UnstableSystemError(
                     f"{self.name}: unbounded busy period at priority {priority}"
                 )
             delay = horizontal_deviation(class_aggregate, leftover, t_max=b)
-            backlog = vertical_deviation(class_aggregate, leftover, t_max=b)
+            backlog = bounds.backlog()
             results[priority] = ClassAnalysis(
                 priority=priority,
                 delay_bound=delay + self.port_latency,
@@ -145,9 +145,7 @@ class PriorityOutputPortServer:
         if not classes[0]:
             classes.pop(0)
         result = self.analyze_classes(classes)[1]
-        output = tagged.shift_left(result.delay_bound).minimum(
-            Curve.affine(0.0, self.service_rate)
-        )
+        output = tagged.shift_left(result.delay_bound).cap(self.service_rate)
         return ServerAnalysis(
             delay_bound=result.delay_bound,
             output=output,

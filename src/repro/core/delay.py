@@ -38,11 +38,18 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import AnalysisConfig, NetworkConfig
-from repro.envelopes.curve import Curve
-from repro.errors import CyclicDependencyError, FixedPointDivergenceError
+from repro.envelopes.curve import Curve, sum_curves
+from repro.envelopes.operations import FifoBounds, horizontal_deviation
+from repro.errors import (
+    BufferOverflowError,
+    CyclicDependencyError,
+    FixedPointDivergenceError,
+    UnstableSystemError,
+)
 from repro.fddi.mac_server import FDDIMacServer
 from repro.interface_device.cell_frame import CellFrameConversionServer
 from repro.interface_device.frame_cell import FrameCellConversionServer
@@ -569,9 +576,7 @@ class DelayAnalyzer:
                 out_key = ("port-out", rate, fp, shift)
                 out = self._stage_cache.get(out_key)
                 if out is None:
-                    out = self._tidy(
-                        env.shift_left(shift).minimum(Curve.affine(0.0, rate))
-                    )
+                    out = self._tidy(env.shift_left(shift).cap(rate))
                     self._stage_cache.put(out_key, out)
                 by_fp[fp] = out
             self._stage_cache.put(cache_key, (delay, backlog, busy, by_fp))
@@ -704,7 +709,7 @@ class DelayAnalyzer:
         worklist-resolved ports, so fixed-point results on feed-forward
         topologies are bit-identical to the chain analysis.
         """
-        return self._tidy(envelope.shift_left(shift).minimum(Curve.affine(0.0, rate)))
+        return self._tidy(envelope.shift_left(shift).cap(rate))
 
     def _solve_fixed_point(
         self,
@@ -866,15 +871,6 @@ def _analyze_port(
     conservatively rounded up to that many segments before the deviation
     analysis — the per-connection inputs and outputs are untouched.
     """
-    from repro.envelopes.curve import sum_curves
-    from repro.envelopes.operations import (
-        busy_interval,
-        horizontal_deviation,
-        vertical_deviation,
-    )
-    from repro.errors import BufferOverflowError, UnstableSystemError
-    import math
-
     aggregate = sum_curves(envelopes.values())
     if coarsen_segments is not None and len(aggregate.xs) > coarsen_segments:
         aggregate = aggregate.coarsen(coarsen_segments, direction="upper")
@@ -884,10 +880,11 @@ def _analyze_port(
             f"{port.name}: aggregate rate {aggregate.final_slope:.6g} b/s "
             f"exceeds link payload rate {port.service_rate:.6g} b/s"
         )
-    busy = busy_interval(aggregate, service)
+    bounds = FifoBounds(aggregate, service)
+    busy = bounds.busy
     if math.isinf(busy):
         raise UnstableSystemError(f"{port.name}: unbounded busy period")
-    backlog = vertical_deviation(aggregate, service, t_max=busy)
+    backlog = bounds.backlog()
     if backlog > port.buffer_bits + 1e-9:
         raise BufferOverflowError(
             f"{port.name}: worst-case backlog {backlog:.6g} bits exceeds "

@@ -371,6 +371,61 @@ class Curve:
         """Pointwise maximum of two curves (exact, with crossing points)."""
         return _combine(self, other, max)
 
+    def cap(self, rate: float) -> "Curve":
+        """``min(curve, rate * t)``: the envelope after a link of ``rate``.
+
+        Bit for bit ``self.minimum(Curve.affine(0.0, rate))`` (for a curve
+        whose first breakpoint is exactly 0, as every constructor writes),
+        in linear time: the line adds no breakpoint of its own, so the
+        merged grid is the curve's, and each crossing lands inside one
+        known segment.  Every value and slope is the expression
+        :func:`_combine` evaluates at the same point.
+
+        Which side each tolerance errs on:
+
+        * A crossing within ``EPS`` of its segment's ends is dropped.  At
+          a dropped crossing the result follows whichever curve is lower
+          at the segment's start, which is the steeper one and ends up
+          above the other: errs **high** (safe for an arrival envelope).
+        * Values within ``1e-12 * max(1, value)`` count as equal, and the
+          result then takes the lower slope from the lower value.  That
+          line lies under both curves, so it errs **low**, by at most the
+          gap between the values.
+        """
+        if rate < 0:
+            raise CurveError("cap rate must be non-negative")
+        xs, ys, slopes = self.xs, self.ys, self.slopes
+        # The curve's and the line's values at each breakpoint, as
+        # ``__call__`` computes them there.
+        va = ys + slopes * 0.0
+        vb = 0.0 + rate * xs
+        dslope = slopes - rate
+        crossing = np.abs(dslope) >= EPS
+        t_cross = -(va - vb) / np.where(crossing, dslope, 1.0)
+        x_cross = xs + t_cross
+        seg_end = np.append(xs[1:], math.inf)
+        valid = crossing & (t_cross > EPS) & (x_cross < seg_end - EPS)
+        # A crossing rounded onto its segment's start is that breakpoint.
+        valid &= x_cross != xs
+        if valid.any():
+            # Segment index of every point, each crossing right after the
+            # breakpoint that starts its segment.
+            seg = np.repeat(np.arange(len(xs)), valid + 1)
+            is_cross = np.append(False, seg[1:] == seg[:-1])
+            xs_all = np.where(is_cross, x_cross[seg], xs[seg])
+            slopes_a = slopes[seg]
+            vals_a = ys[seg] + slopes_a * (xs_all - xs[seg])
+            vals_b = 0.0 + rate * xs_all
+        else:
+            xs_all, slopes_a, vals_a, vals_b = xs, slopes, va, vb
+        out_ys = np.minimum(vals_a, vals_b)
+        pick_a = vals_a <= vals_b
+        # At a point where the curves are equal, look ahead via slopes.
+        equal = np.abs(vals_a - vals_b) <= 1e-12 * np.maximum(1.0, np.abs(vals_a))
+        out_slopes = np.where(pick_a, slopes_a, rate)
+        out_slopes = np.where(equal, np.minimum(slopes_a, rate), out_slopes)
+        return Curve(xs_all, out_ys, out_slopes, validate=False).simplify()
+
     # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Deviation and deconvolution operations on envelope curves.
 
-These four functions implement the quantities that the paper's server
+These functions implement the quantities that the paper's server
 theorems need:
 
 * :func:`busy_interval` — Theorem 1(1): the maximal busy interval ``B``,
   the first instant at which the service staircase has caught up with the
-  arrival envelope.
+  arrival envelope.  :class:`FifoBounds` reads ``B`` and the backlog
+  within it from one grid, for the servers that need both.
 * :func:`vertical_deviation` — Theorem 1(2): the worst-case backlog (buffer
   requirement) ``F``.
 * :func:`horizontal_deviation` — Theorem 1(3): the worst-case delay ``chi``
@@ -29,57 +30,101 @@ import numpy as np
 from repro.envelopes.curve import EPS, Curve, _left_limits_at, _slopes_at
 
 
-def busy_interval(arrival: Curve, service: Curve, t_max: float = math.inf) -> float:
-    """The maximal busy interval ``B = min { t > 0 : A(t) <= S(t) }``.
+class FifoBounds:
+    """Busy interval and backlog of ``A`` against ``S`` from one grid.
 
-    Returns 0.0 when the server is never backlogged (``A <= S`` from the
-    start), and ``math.inf`` when the arrival rate exceeds the service rate
-    so the backlog never clears (the unstable case of Theorem 1).
+    ``union1d(A.xs, S.xs)`` is built, and ``A`` and ``A - S`` evaluated
+    on it, once.  :attr:`busy` (what :func:`busy_interval` returns) is
+    read from that grid on construction; :meth:`backlog` reads the
+    backlog within the busy interval from the same arrays, only when a
+    caller needs it, through the body :func:`vertical_deviation` runs.
+    It is bit for bit ``vertical_deviation(A, S, t_max=B)``: every value
+    is the same elementwise expression on the same grid point.
 
-    Parameters
-    ----------
-    arrival, service:
-        The cumulative arrival envelope ``A`` and availability curve ``S``.
-    t_max:
-        Optional search cut-off; ``inf`` by default (the final affine
-        segments make an exact unbounded search possible).
+    The catch-up test ``A - S <= 1e-9 * max(1, A)`` at a breakpoint errs
+    **low**: ``B`` may end while ``A`` still exceeds ``S`` by less than
+    that (a thousandth of a bit at a megabit), and the backlog and delay
+    are then taken over the shorter window.  Only breakpoints are
+    tested, so a catch-up inside a segment that ends in a jump of ``A``
+    (both differences above the tolerance) is missed and ``B`` errs
+    **high** there, which widens every later supremum (safe).
     """
-    xs = np.union1d(arrival.xs, service.xs)
-    xs = xs[xs <= t_max]
-    if len(xs):
+
+    __slots__ = ("arrival", "service", "xs", "diff", "busy")
+
+    def __init__(self, arrival: Curve, service: Curve) -> None:
+        self.arrival = arrival
+        self.service = service
+        xs = np.union1d(arrival.xs, service.xs)
         a_vals = arrival(xs)
         diff = a_vals - service(xs)
-        tol = 1e-9 * np.maximum(1.0, np.abs(a_vals))
-        hits = (xs > 0) & (diff <= tol)
-        if hits.any():
-            # First breakpoint at which the service has caught up; locate
-            # the crossing inside the preceding segment when the arrival
-            # was still ahead there.
-            k = int(np.argmax(hits))
-            x = float(xs[k])
-            if k >= 1 and float(diff[k - 1]) > float(tol[k]):
-                sa = float(_slopes_at(arrival, xs[k - 1 : k])[0])
-                ss = float(_slopes_at(service, xs[k - 1 : k])[0])
-                dslope = sa - ss
-                if dslope < -EPS:
-                    t_cross = float(xs[k - 1]) - float(diff[k - 1]) / dslope
-                    # The crossing may occur before the breakpoint (inside
-                    # the open segment) only if both curves are continuous
-                    # there; a jump in S at `x` can also close the gap.
-                    if t_cross < x - EPS:
-                        return float(t_cross)
-            return x
+        self.xs = xs
+        self.diff = diff
+        self.busy = _first_catch_up(arrival, service, xs, a_vals, diff)
+
+    def backlog(self) -> float:
+        """``sup_{0 < t <= B} [A(t) - S(t)]``: the worst-case backlog.
+
+        With ``B = inf`` (the unstable case) this is the supremum over
+        every ``t``, which is ``+inf`` when ``A``'s final slope exceeds
+        ``S``'s.
+        """
+        cut = int(np.searchsorted(self.xs, self.busy, side="right"))
+        return _backlog(
+            self.arrival, self.service, self.xs[:cut], self.diff[:cut], self.busy
+        )
+
+
+def _first_catch_up(
+    arrival: Curve,
+    service: Curve,
+    xs: np.ndarray,
+    a_vals: np.ndarray,
+    diff: np.ndarray,
+) -> float:
+    """:attr:`FifoBounds.busy` from the merged grid's values."""
+    tol = 1e-9 * np.maximum(1.0, np.abs(a_vals))
+    hits = (xs > 0) & (diff <= tol)
+    if hits.any():
+        # First breakpoint at which the service has caught up; locate the
+        # crossing inside the preceding segment when the arrival was
+        # still ahead there.
+        k = int(np.argmax(hits))
+        x = float(xs[k])
+        if k >= 1 and float(diff[k - 1]) > float(tol[k]):
+            sa = float(_slopes_at(arrival, xs[k - 1 : k])[0])
+            ss = float(_slopes_at(service, xs[k - 1 : k])[0])
+            dslope = sa - ss
+            if dslope < -EPS:
+                t_cross = float(xs[k - 1]) - float(diff[k - 1]) / dslope
+                # The crossing may occur before the breakpoint (inside the
+                # open segment) only if both curves are continuous there;
+                # a jump in S at `x` can also close the gap.
+                if t_cross < x - EPS:
+                    return float(t_cross)
+        return x
     # Beyond the last breakpoint both curves are affine.
-    x0 = float(xs[-1]) if len(xs) else 0.0
-    a0 = float(arrival(x0))
-    diff0 = a0 - float(service(x0))
-    tol0 = 1e-9 * max(1.0, abs(a0))
+    x0 = float(xs[-1])
+    diff0 = float(diff[-1])
     dslope = arrival.final_slope - service.final_slope
-    if diff0 <= tol0:
+    if diff0 <= float(tol[-1]):
         return x0 if x0 > 0 else 0.0
     if dslope >= -EPS:
         return math.inf
     return float(x0 - diff0 / dslope)
+
+
+def busy_interval(arrival: Curve, service: Curve) -> float:
+    """The maximal busy interval ``B = min { t > 0 : A(t) <= S(t) }``.
+
+    Returns 0.0 when the server is never backlogged (``A <= S`` from the
+    start), and ``math.inf`` when the arrival rate exceeds the service rate
+    so the backlog never clears (the unstable case of Theorem 1).  The
+    final affine segments make the unbounded search exact.  Callers that
+    also need the backlog use :class:`FifoBounds`, which shares the grid;
+    its docstring says which side the catch-up tolerance errs on.
+    """
+    return FifoBounds(arrival, service).busy
 
 
 def vertical_deviation(
@@ -93,12 +138,25 @@ def vertical_deviation(
     """
     xs = np.union1d(arrival.xs, service.xs)
     xs = xs[xs <= t_max]
+    return _backlog(arrival, service, xs, arrival(xs) - service(xs), t_max)
+
+
+def _backlog(
+    arrival: Curve,
+    service: Curve,
+    xs: np.ndarray,
+    diff: np.ndarray,
+    t_max: float,
+) -> float:
+    """:func:`vertical_deviation` from the merged grid cut at ``t_max``
+    and its ``A - S`` values."""
     if len(xs) == 0:
         xs = np.asarray([0.0])
+        diff = arrival(xs) - service(xs)
     # Right values at the breakpoints, and left limits (a jump *down* in
     # A - S happens when S jumps, so the supremum may sit just before a
     # breakpoint).
-    right = np.max(arrival(xs) - service(xs))
+    right = np.max(diff)
     left = np.max(_left_limits_at(arrival, xs) - _left_limits_at(service, xs))
     best = max(0.0, float(right), float(left))
     if math.isfinite(t_max):
@@ -118,6 +176,18 @@ def horizontal_deviation(
     distance from the arrival envelope to the service curve.  Returns
     ``math.inf`` when the system is unstable (``A``'s long-term rate exceeds
     ``S``'s) or when ``S`` plateaus below a value ``A`` reaches.
+
+    Which side each tolerance errs on:
+
+    * Each candidate ``c`` is also read at ``c + 1e-9 * max(1, c)``, to
+      catch a supremum approached from the right but not attained there
+      (the delay jumps up just past ``c``).  Every read is a true value
+      of the delay function, and it falls at most one unit per unit of
+      time, so the nudge errs **low** by at most the nudge itself (1 ns
+      for ``c`` under a second).
+    * With a finite ``t_max``, candidates up to ``t_max + EPS`` are kept.
+      Those past ``t_max`` are still true delays, just outside the
+      window, so the cut errs **high** (safe).
     """
     if math.isinf(t_max) and arrival.final_slope > service.final_slope + EPS:
         return math.inf

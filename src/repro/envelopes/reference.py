@@ -167,9 +167,9 @@ def ref_pseudo_inverse(curve: Curve, y: float) -> float:
     return math.inf
 
 
-def ref_busy_interval(arrival: Curve, service: Curve, t_max: float = math.inf) -> float:
+def ref_busy_interval(arrival: Curve, service: Curve) -> float:
     """Sequential scan for ``min { t > 0 : A(t) <= S(t) }``."""
-    grid = [x for x in _merged_grid(arrival, service) if x <= t_max]
+    grid = _merged_grid(arrival, service)
     prev_x = None
     prev_diff = None
     for x in grid:
@@ -185,7 +185,7 @@ def ref_busy_interval(arrival: Curve, service: Curve, t_max: float = math.inf) -
                         return float(t_cross)
             return float(x)
         prev_x, prev_diff = x, diff
-    x0 = grid[-1] if grid else 0.0
+    x0 = grid[-1]
     a0 = ref_eval(arrival, x0)
     diff0 = a0 - ref_eval(service, x0)
     if diff0 <= 1e-9 * max(1.0, abs(a0)):

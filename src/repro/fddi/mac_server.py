@@ -26,10 +26,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from repro.envelopes.curve import Curve
 from repro.envelopes.operations import (
-    busy_interval,
+    FifoBounds,
     deconvolve,
     horizontal_deviation,
-    vertical_deviation,
 )
 from repro.envelopes.staircase import timed_token_staircase
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
@@ -81,18 +80,20 @@ def theorem1(
     # Adaptively size the exact staircase horizon to cover the busy
     # interval.  The affine tail under-estimates service, so a busy
     # interval computed within the horizon is exact; one that lands in
-    # the tail region prompts a larger horizon.
+    # the tail region prompts a larger horizon.  Each horizon reads only
+    # ``B``; the backlog comes from the final horizon's grid.
     n_steps = 32
     while True:
         avail = server.availability(n_steps)
-        b = busy_interval(arrival, avail)
+        bounds = FifoBounds(arrival, avail)
+        b = bounds.busy
         if math.isinf(b):
             raise UnstableSystemError(wording.unbounded_busy.format(name=name))
         if b <= (n_steps - 1) * rotation or n_steps >= server.max_steps:
             break
         n_steps = min(server.max_steps, n_steps * 4)
 
-    backlog = vertical_deviation(arrival, avail, t_max=b)
+    backlog = bounds.backlog()
     if backlog > server.buffer_bits + 1e-9:
         raise BufferOverflowError(
             wording.overflow.format(
@@ -104,9 +105,7 @@ def theorem1(
         raise UnstableSystemError(wording.unbounded_delay.format(name=name))
 
     # Theorem 1(4): output envelope, capped at the ring rate.
-    output = deconvolve(arrival, avail, t_limit=b).minimum(
-        Curve.affine(0.0, server.bandwidth)
-    )
+    output = deconvolve(arrival, avail, t_limit=b).cap(server.bandwidth)
     return ServerAnalysis(
         delay_bound=delay,
         output=output,

@@ -20,11 +20,7 @@ from __future__ import annotations
 import math
 
 from repro.envelopes.curve import Curve
-from repro.envelopes.operations import (
-    busy_interval,
-    horizontal_deviation,
-    vertical_deviation,
-)
+from repro.envelopes.operations import FifoBounds, horizontal_deviation
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
 from repro.servers.base import DedicatedServer, ServerAnalysis
 
@@ -68,7 +64,7 @@ class RegulatorServer(DedicatedServer):
         bucket = Curve.affine(self.sigma, self.rho)
         if math.isinf(self.peak):
             return bucket
-        return bucket.minimum(Curve.affine(0.0, self.peak))
+        return bucket.cap(self.peak)
 
     def analyze(self, arrival: Curve) -> ServerAnalysis:
         shape = self.shaping_curve()
@@ -77,10 +73,11 @@ class RegulatorServer(DedicatedServer):
                 f"{self.name}: arrival rate {arrival.final_slope:.6g} b/s "
                 f"exceeds shaping rate {self.rho:.6g} b/s"
             )
-        b = busy_interval(arrival, shape)
+        bounds = FifoBounds(arrival, shape)
+        b = bounds.busy
         if math.isinf(b):
             raise UnstableSystemError(f"{self.name}: unbounded busy interval")
-        backlog = vertical_deviation(arrival, shape, t_max=b)
+        backlog = bounds.backlog()
         if backlog > self.buffer_bits + 1e-9:
             raise BufferOverflowError(
                 f"{self.name}: shaper backlog {backlog:.6g} bits exceeds buffer"

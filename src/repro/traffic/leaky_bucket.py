@@ -48,7 +48,7 @@ class LeakyBucketTraffic(TrafficDescriptor):
         bucket = Curve.affine(self.sigma, self.rho)
         if math.isinf(self.peak):
             return bucket
-        return bucket.minimum(Curve.affine(0.0, self.peak))
+        return bucket.cap(self.peak)
 
     def describe(self) -> str:
         return f"LeakyBucket(sigma={self.sigma:.3g}b, rho={self.rho:.3g}b/s)"
