@@ -105,10 +105,12 @@ class AdmissionController:
             else None
         )
         self.connections: Dict[str, ConnectionRecord] = {}
-        #: Cached ConnectionLoad views of the active set (rebuilt lazily
-        #: after admissions/releases; a binary search issues dozens of
-        #: probes against an unchanged active set).
-        self._active_loads: Optional[List[ConnectionLoad]] = None
+        #: The ConnectionLoad of every active record, in the order of
+        #: :attr:`connections`, updated in place by every admit, restore
+        #: and release.  The objects persist across decisions, so the
+        #: incremental engine's id-keyed memo keeps their keys and port
+        #: footprints.
+        self._loads: Dict[str, ConnectionLoad] = {}
         #: Running counters for admission-probability measurements.
         self.n_requests = 0
         self.n_admitted = 0
@@ -123,16 +125,17 @@ class AdmissionController:
     def _loads_with(
         self, candidate: Optional[ConnectionLoad]
     ) -> List[ConnectionLoad]:
-        base = self._active_loads
-        if base is None:
-            base = [
-                ConnectionLoad(rec.spec, rec.route, rec.h_source, rec.h_dest)
-                for rec in self.connections.values()
-            ]
-            self._active_loads = base
+        loads = list(self._loads.values())
         if candidate is not None:
-            return base + [candidate]
-        return list(base)
+            loads.append(candidate)
+        return loads
+
+    def _add(self, record: ConnectionRecord) -> None:
+        """Make ``record`` active (its ledger grants are already charged)."""
+        self.connections[record.conn_id] = record
+        self._loads[record.conn_id] = ConnectionLoad(
+            record.spec, record.route, record.h_source, record.h_dest
+        )
 
     def evaluate(
         self, candidate: Optional[ConnectionLoad]
@@ -159,6 +162,8 @@ class AdmissionController:
         reports = self.evaluate(candidate)
         if reports is None:
             return None
+        # The 1e-12 s slack errs on the admitting side: a delay bound may
+        # exceed its deadline by at most 1 ps and still pass.
         for conn_id, report in reports.items():
             if report.total_delay > self._deadline_of(conn_id, candidate) + 1e-12:
                 return None
@@ -218,6 +223,13 @@ class AdmissionController:
                 n_probes=1,
             )
 
+        # Probes whose allocations round to the same 1e-10 s grid point
+        # (each within 5e-11 s of it) share the first one's verdict and
+        # reports.  That errs either way, by at most 1e-10 s of
+        # synchronous time: a point may pass on a neighbour's feasibility
+        # (the admitting side; the recorded bounds then describe an
+        # allocation up to 1e-10 s from the granted one) or fail on a
+        # neighbour's infeasibility (the rejecting side).
         probe_cache: Dict[Tuple[float, float], object] = {}
 
         def probe(hs: float, hr: float):
@@ -265,8 +277,7 @@ class AdmissionController:
             except Exception:
                 ring_s.release(spec.conn_id)
                 raise
-        self.connections[spec.conn_id] = record
-        self._active_loads = None
+        self._add(record)
         # Refresh every existing record's bound under the new load.
         for conn_id, report in reports.items():
             self.connections[conn_id].delay_bound = report.total_delay
@@ -329,35 +340,7 @@ class AdmissionController:
             except Exception:
                 ring_s.release(spec.conn_id)
                 raise
-        self.connections[spec.conn_id] = record
-        self._active_loads = None
-        return record
-
-    def adopt_record(self, record: ConnectionRecord) -> None:
-        """Take ownership of an already-allocated record.
-
-        Shard-rebalancing primitive: the ring ledgers already hold the
-        record's grant (charged by whichever controller admitted it), so
-        only the membership moves.  Counterpart of :meth:`forget_record`.
-        """
-        if record.conn_id in self.connections:
-            raise ConfigurationError(
-                f"connection {record.conn_id!r} already active"
-            )
-        self.connections[record.conn_id] = record
-        self._active_loads = None
-
-    def forget_record(self, conn_id: str) -> ConnectionRecord:
-        """Drop a record *without* touching the ring ledgers.
-
-        The record's synchronous bandwidth stays allocated; another
-        controller must :meth:`adopt_record` it (shard moves) or the
-        ledgers will leak.
-        """
-        if conn_id not in self.connections:
-            raise ConfigurationError(f"unknown connection {conn_id!r}")
-        record = self.connections.pop(conn_id)
-        self._active_loads = None
+        self._add(record)
         return record
 
     def set_analysis_config(self, analysis: AnalysisConfig) -> None:
@@ -393,7 +376,7 @@ class AdmissionController:
         if conn_id not in self.connections:
             raise ConfigurationError(f"unknown connection {conn_id!r}")
         record = self.connections.pop(conn_id)
-        self._active_loads = None
+        del self._loads[conn_id]
         self.topology.rings[record.route.source_ring].release(conn_id)
         if record.route.crosses_backbone:
             self.topology.rings[record.route.dest_ring].release(conn_id)

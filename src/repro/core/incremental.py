@@ -13,11 +13,10 @@ connection's envelope).  Hence the **interference-partition invariant**:
 The engine partitions the load set into those interference components and,
 between consecutive computations, recomputes only the components that
 contain an added, removed or changed member.  Every other component's
-previous fixed-point reports (and per-port usage figures) are reused
-*verbatim* — bit-identical to a full recomputation, because the
-feed-forward fixed point factorizes over components: analyzing a component
-in isolation performs exactly the same floating-point operations as
-analyzing it inside the full set.
+previous fixed-point reports are reused *verbatim* — bit-identical to a
+full recomputation, because the feed-forward fixed point factorizes over
+components: analyzing a component in isolation performs exactly the same
+floating-point operations as analyzing it inside the full set.
 
 Falls back to a full recomputation when:
 
@@ -39,7 +38,6 @@ from repro.core.delay import (
     DelayAnalyzer,
     DelayReport,
     LRUCache,
-    ResourceUsage,
     route_port_names,
 )
 
@@ -58,11 +56,10 @@ class IncrementalDelayEngine:
         #: everything that can change its analysis, so membership changes
         #: at a port are exactly the added/removed keys that traverse it.
         self._prev_keys: frozenset = frozenset()
-        #: port name -> (backlog, busy, delay, {conn_id: entry envelope}).
-        self._port_usage: Dict[str, tuple] = {}
-        #: id(load) -> (weakref, key, ports): the controller reuses its
-        #: ConnectionLoad objects across probes, so key and port footprint
-        #: are computed once per object (the weakref guards id reuse).
+        #: id(load) -> (weakref, key, ports): the controller keeps one
+        #: ConnectionLoad object per active connection, so key and port
+        #: footprint are computed once per object (the weakref guards id
+        #: reuse).
         self._load_memo: Dict[int, tuple] = {}
         #: Traffic descriptors interned to small ints so load keys hash
         #: cheaply in the hot dict lookups.
@@ -132,7 +129,6 @@ class IncrementalDelayEngine:
         self._reports.clear()
         self._ports_of.clear()
         self._prev_keys = frozenset()
-        self._port_usage.clear()
         # Port footprints depend on the topology; drop them with the rest.
         self._load_memo.clear()
         self._partition_cache.clear()
@@ -140,12 +136,20 @@ class IncrementalDelayEngine:
     # ------------------------------------------------------------------
 
     def compute(self, loads: Sequence[ConnectionLoad]) -> Dict[str, DelayReport]:
-        reports, _ = self.compute_with_resources(loads)
-        return reports
+        """The delay report of every load, as :meth:`DelayAnalyzer.compute`."""
+        return self.compute_with_resources(loads)
 
     def compute_with_resources(
         self, loads: Sequence[ConnectionLoad]
-    ) -> Tuple[Dict[str, DelayReport], ResourceUsage]:
+    ) -> Dict[str, DelayReport]:
+        """The body of :meth:`compute`.
+
+        The engine keeps no per-port usage, so only the reports come
+        back.  The name stays because perfbench's tracer times the engine
+        by wrapping this method; the buffer and concatenation analyses
+        that need a :class:`~repro.core.delay.ResourceUsage` call
+        :meth:`DelayAnalyzer.compute_with_resources` directly.
+        """
         loads = list(loads)
         topo_version = self.analyzer.topology.change_count
         if topo_version != self._topo_version:
@@ -162,7 +166,7 @@ class IncrementalDelayEngine:
             self.n_full += 1
             self.n_loads_computed += len(loads)
             self.invalidate()  # cannot diff against an untracked state
-            return self.analyzer.compute_with_resources(loads)
+            return self.analyzer.compute(loads)
 
         partition_key = tuple(ports)
         partition = self._partition_cache.get(partition_key)
@@ -196,16 +200,13 @@ class IncrementalDelayEngine:
         dirty = [i for i in range(len(loads)) if roots[i] in dirty_roots]
         clean = [i for i in range(len(loads)) if roots[i] not in dirty_roots]
 
+        sub_reports: Dict[str, DelayReport] = {}
         if dirty:
-            sub_reports, sub_usage = self.analyzer.compute_with_resources(
-                [loads[i] for i in dirty]
-            )
+            sub_reports = self.analyzer.compute([loads[i] for i in dirty])
             if clean:
                 self.n_partial += 1
             else:
                 self.n_full += 1
-        else:
-            sub_reports, sub_usage = {}, ResourceUsage({}, {}, {}, {})
         self.n_loads_computed += len(dirty)
         self.n_loads_reused += len(clean)
 
@@ -224,33 +225,10 @@ class IncrementalDelayEngine:
             new_ports_of[keys[i]] = ports[i]
             result[loads[i].spec.conn_id] = report
 
-        new_usage: Dict[str, tuple] = {}
-        for name in port_root:
-            if name in sub_usage.port_backlogs:
-                new_usage[name] = (
-                    sub_usage.port_backlogs[name],
-                    sub_usage.port_busy_intervals[name],
-                    sub_usage.port_delays[name],
-                    sub_usage.port_inputs.get(name, {}),
-                )
-            else:
-                # A clean component's port: every traverser was reused, so
-                # the previous figures still describe its aggregate.
-                new_usage[name] = self._port_usage[name]
         self._reports = new_reports
         self._ports_of = new_ports_of
         self._prev_keys = current_keys
-        self._port_usage = new_usage
-
-        usage = ResourceUsage(
-            port_backlogs={n: u[0] for n, u in new_usage.items()},
-            port_busy_intervals={n: u[1] for n, u in new_usage.items()},
-            port_delays={n: u[2] for n, u in new_usage.items()},
-            # Shared references: the analyzer builds these dicts fresh per
-            # computation and no caller mutates them.
-            port_inputs={n: u[3] for n, u in new_usage.items()},
-        )
-        return result, usage
+        return result
 
     # ------------------------------------------------------------------
 

@@ -91,8 +91,8 @@ class AuditError(ReproError):
 
     Raised by the survivability experiment and the admission service on
     shutdown when :func:`repro.faults.audit.audit_controller` (or the
-    service's sharded equivalent) reports leaked synchronous bandwidth or
-    deadline violations.  The message carries the full audit report.
+    service's ledger audit of its controller) reports leaked synchronous
+    bandwidth or deadline violations.  The message carries the full audit report.
     """
 
 

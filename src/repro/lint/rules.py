@@ -548,7 +548,7 @@ class CachePurityRule(Rule):
     #: Attribute/name fragments that identify a cache-like container.
     CACHE_MARKERS = ("cache", "memo")
     CACHE_NAMES = frozenset(
-        {"_reports", "_ports_of", "_port_usage", "_load_memo", "_data"}
+        {"_reports", "_ports_of", "_load_memo", "_data"}
     )
     MUTATORS = frozenset(
         {

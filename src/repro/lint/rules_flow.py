@@ -118,7 +118,6 @@ MUTATOR_METHODS = frozenset(
         "add",
         "add_edge",
         "add_node",
-        "adopt_record",
         "allocate",
         "append",
         "attach_link",
@@ -129,7 +128,6 @@ MUTATOR_METHODS = frozenset(
         "extend",
         "fail_link",
         "fail_node",
-        "forget_record",
         "insert",
         "move_to_end",
         "pop",
@@ -141,7 +139,6 @@ MUTATOR_METHODS = frozenset(
         "restore",
         "restore_link",
         "restore_node",
-        "restore_record",
         "setdefault",
         "truncate",
         "update",
@@ -178,9 +175,6 @@ TRANSACTIONAL_SCOPES: Dict[str, FrozenSet[str]] = {
     "repro/fddi/ring.py": frozenset({"allocate", "release"}),
     "repro/service/journal.py": frozenset(
         {"open_fresh", "open_for_append", "append", "write_snapshot"}
-    ),
-    "repro/service/shard.py": frozenset(
-        {"_merge", "_attach", "commit_admit", "restore_record", "release"}
     ),
     "repro/service/server.py": frozenset({"_replay"}),
 }
@@ -500,7 +494,7 @@ class _AtomAnalysis(Analysis[_AtomState]):
                 continue
             if id(child) in call_funcs:
                 # ``self.method(...)`` is opaque; a deeper chain like
-                # ``self.state.route_of(...)`` reads ``self.state``.
+                # ``self.controller.release(...)`` reads ``self.controller``.
                 if len(chain) <= 2:
                     continue
                 out.append((chain_key(chain[:-1]), child.lineno))

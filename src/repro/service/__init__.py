@@ -5,13 +5,11 @@ library inside one process and throw it away afterwards.  This package
 turns the same controller into a *service* an operator could actually run
 against live connection signalling, hardened end-to-end for faults:
 
-* :mod:`repro.service.server` — the asyncio :class:`AdmissionService`:
-  bounded priority queue with load shedding, per-request deadlines with
-  ``TIMEOUT`` verdicts, write-ahead journaling, and a graceful-degradation
-  ladder (exact analysis -> conservative coarsening -> admission freeze)
-  driven by measured decision latency;
-* :mod:`repro.service.shard` — the active set sharded by the interference
-  partition (plus ring-ledger coupling), one controller per shard;
+* :mod:`repro.service.server` — the asyncio :class:`AdmissionService`
+  over one controller: bounded priority queue with load shedding,
+  per-request deadlines with ``TIMEOUT`` verdicts, write-ahead journaling,
+  and a graceful-degradation ladder (exact analysis -> conservative
+  coarsening -> admission freeze) driven by measured decision latency;
 * :mod:`repro.service.journal` — the crash-recovery journal and snapshot
   store: a killed server restores bit-identically;
 * :mod:`repro.service.frontend` — a JSON-lines TCP front-end;
@@ -35,7 +33,6 @@ from repro.service.server import (
     AdmissionService,
     ServiceResponse,
 )
-from repro.service.shard import ShardedAdmissionState
 
 __all__ = [
     "ADMITTED",
@@ -52,5 +49,4 @@ __all__ = [
     "DegradationLadder",
     "JournalStore",
     "ServiceResponse",
-    "ShardedAdmissionState",
 ]

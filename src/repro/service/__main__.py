@@ -199,21 +199,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.journal_dir):
         print(f"no journal directory at {args.journal_dir!r}", file=sys.stderr)
         return 1
+    cac_cfg = None
     if args.scenario:
         _, config, cac_cfg = _load_scenario(args.scenario)
-        service, report = AdmissionService.restore(
-            build_network(config),
-            args.journal_dir,
-            network_config=config,
-            cac_config=cac_cfg,
-        )
     else:
         config = _network(args.rings)
-        service, report = AdmissionService.restore(
-            build_network(config),
-            args.journal_dir,
-            network_config=config,
-        )
+    _, report = AdmissionService.restore(
+        build_network(config),
+        args.journal_dir,
+        network_config=config,
+        cac_config=cac_cfg,
+    )
     print(
         json.dumps(
             {
@@ -226,7 +222,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 "n_requests": report.n_requests,
                 "n_admitted": report.n_admitted,
                 "n_active": report.n_active,
-                "shards": service.state.stats(),
             },
             indent=2,
         )

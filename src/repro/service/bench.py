@@ -114,10 +114,10 @@ def trajectory_ops(with_faults: bool = False) -> List[Op]:
     """The fixed scripted workload.
 
     Exercises every verdict: background admissions per ring pair, a
-    guaranteed rejection, shard-bridging cross traffic, a duplicate admit
-    (ERROR), an unknown release (UNKNOWN), and admit/release churn.  With
-    ``with_faults`` a node failure displaces group 3 mid-run and is
-    repaired before the end.
+    guaranteed rejection, cross traffic bridging two ring pairs, a
+    duplicate admit (ERROR), an unknown release (UNKNOWN), and
+    admit/release churn.  With ``with_faults`` a node failure displaces
+    group 3 mid-run and is repaired before the end.
     """
     ops: List[Op] = []
     pairs = [(1, 2), (3, 4), (5, 6)]
@@ -133,7 +133,8 @@ def trajectory_ops(with_faults: bool = False) -> List[Op]:
     ops.append(
         _admit("reject-1", "host1-1", "host2-1", 0.05, REJECT_TRAFFIC)
     )
-    # Bridge groups 1 and 2: shares ports with both -> shard merge.
+    # Bridge groups 1 and 2: shares ports with both, joining their
+    # interference components.
     ops.append(_admit("x-1", "host1-1", "host3-1"))
     ops.append(_admit("x-1", "host1-1", "host3-1"))  # duplicate -> ERROR
     ops.append(("release", "ghost"))  # unknown -> UNKNOWN

@@ -12,9 +12,10 @@ One request object per line, one response object per line, in order::
 
 Responses carry at least ``verdict`` (``ADMITTED``/``REJECTED``/``BUSY``/
 ``TIMEOUT``/``RELEASED``/``UNKNOWN``/``ERROR`` — or ``OK`` for
-``ping``/``metrics``).  Malformed input never kills the connection: the
-offending line — unparsable, nested too deeply for the JSON decoder, or
-longer than the stream's line limit (64 KiB by default) — is answered
+``ping``/``metrics``).  A request line holds at most
+:data:`MAX_LINE_BYTES` bytes before its newline.  Malformed input never
+kills the connection: the offending line — unparsable, nested too deeply
+for the JSON decoder, or longer than :data:`MAX_LINE_BYTES` — is answered
 with an ``ERROR`` verdict and parsing continues at the next line.
 """
 
@@ -29,6 +30,11 @@ from repro.errors import JournalError, ReproError
 from repro.network.connection import ConnectionSpec
 from repro.service.codec import dict_to_traffic
 from repro.service.server import AdmissionService
+
+#: Longest request line, in bytes without its newline, that a client may
+#: send; a longer one is answered ``ERROR`` and skipped.  This is the
+#: ``limit`` of every :class:`asyncio.StreamReader` the server opens.
+MAX_LINE_BYTES = 64 * 1024
 
 
 def _error(reason: str, conn_id: str = "") -> Dict[str, Any]:
@@ -162,6 +168,21 @@ async def handle_connection(
             pass
 
 
+async def listen(
+    service: AdmissionService, host: str = "127.0.0.1", port: int = 8642
+) -> asyncio.AbstractServer:
+    """Accept clients on ``host:port`` (0 picks a free port); each is
+    served by :func:`handle_connection` with lines of at most
+    :data:`MAX_LINE_BYTES`."""
+
+    async def _client(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        await handle_connection(service, reader, writer)
+
+    return await asyncio.start_server(_client, host, port, limit=MAX_LINE_BYTES)
+
+
 async def serve(
     service: AdmissionService,
     host: str = "127.0.0.1",
@@ -169,13 +190,7 @@ async def serve(
     ready: Optional["asyncio.Event"] = None,
 ) -> None:
     """Run the TCP front-end until cancelled (service must be started)."""
-
-    async def _client(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await handle_connection(service, reader, writer)
-
-    server = await asyncio.start_server(_client, host, port)
+    server = await listen(service, host, port)
     if ready is not None:
         ready.set()
     async with server:

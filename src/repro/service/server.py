@@ -1,8 +1,9 @@
 """The standing admission-control service.
 
-:class:`AdmissionService` wraps the sharded CAC state behind an asyncio
-request queue, decides each request inline on the event loop in dispatch
-order (priority, then arrival), and hardens the whole decision path:
+:class:`AdmissionService` puts one
+:class:`~repro.core.cac.AdmissionController` behind an asyncio request
+queue, decides each request inline on the event loop in dispatch order
+(priority, then arrival), and hardens the whole decision path:
 
 * **bounded queue with priority shedding** — admits past
   ``ServiceConfig.queue_capacity`` shed the lowest-priority queued admit
@@ -32,15 +33,15 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig
-from repro.core.cac import LEAK_TOLERANCE
+from repro.core.cac import LEAK_TOLERANCE, AdmissionController
 from repro.errors import AuditError, JournalError, ReproError, RoutingError
 from repro.faults.retry import RetryPolicy
-from repro.network.connection import ConnectionSpec
+from repro.network.connection import ConnectionRecord, ConnectionSpec
+from repro.network.routing import compute_route
 from repro.network.topology import NetworkTopology
 from repro.service import codec
 from repro.service.degrade import DegradationLadder
 from repro.service.journal import JournalStore, JournalTail
-from repro.service.shard import ShardedAdmissionState
 from repro.service.state import state_payload, state_signature
 from repro.sim.metrics import RunningStats
 from repro.sim.random import RandomStreams
@@ -55,11 +56,11 @@ UNKNOWN = "UNKNOWN"
 ERROR = "ERROR"
 
 
-def _raise_on_leaks(state: ShardedAdmissionState, what: str) -> None:
+def _raise_on_leaks(controller: AdmissionController, what: str) -> None:
     """Raise :class:`AuditError` naming every ring whose ledger leaks."""
     leaks = {
         rid: diff
-        for rid, diff in state.audit_allocations().items()
+        for rid, diff in controller.audit_allocations().items()
         if abs(diff) > LEAK_TOLERANCE
     }
     if leaks:
@@ -174,8 +175,35 @@ class ServiceMetrics:
         }
 
 
+class StateView:
+    """The service's one controller, in the shape perfbench reads.
+
+    It exists for perfbench, the repository's benchmark, whose files do
+    not change with the program: its service workload reads
+    ``service.state.{active, shards, n_merges, audit_allocations()}`` and
+    each shard's ``controller``, names from when the service split its
+    connections over one controller per shard.  The view is read-only;
+    nothing in the program uses it.
+    """
+
+    #: One controller never merges.
+    n_merges = 0
+
+    def __init__(self, controller: AdmissionController) -> None:
+        self.controller = controller
+        #: The one "shard" is the view itself: it exposes ``controller``.
+        self.shards: Dict[int, "StateView"] = {1: self}
+
+    @property
+    def active(self) -> Dict[str, ConnectionRecord]:
+        return self.controller.connections
+
+    def audit_allocations(self) -> Dict[str, float]:
+        return self.controller.audit_allocations()
+
+
 class AdmissionService:
-    """Asyncio admission-control server over a sharded CAC state."""
+    """Asyncio admission-control server over one CAC controller."""
 
     def __init__(
         self,
@@ -187,7 +215,10 @@ class AdmissionService:
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.config = service_config or ServiceConfig()
-        self.state = ShardedAdmissionState(topology, network_config, cac_config)
+        self.controller = AdmissionController(
+            topology, network_config, cac_config
+        )
+        self.state = StateView(self.controller)
         self.ladder = DegradationLadder(self.config)
         self.metrics = ServiceMetrics()
         self.clock: Callable[[], float] = clock or time.monotonic
@@ -196,11 +227,11 @@ class AdmissionService:
             if journal_dir is not None
             else None
         )
-        #: Aggregate AP counters (the per-shard controllers each count only
-        #: their own slice; these are the journaled, restorable totals).
+        #: The journaled, restorable AP counters.  The controller keeps its
+        #: own, but they miss no-route rejections and journal replay.
         self.n_requests = 0
         self.n_admitted = 0
-        self._base_analysis = self.state.cac_config.analysis
+        self._base_analysis = self.controller.config.analysis
         self._retry_policy = RetryPolicy(
             base_delay=self.config.retry_base_delay,
             factor=self.config.retry_factor,
@@ -256,7 +287,8 @@ class AdmissionService:
             self._write_snapshot()
             self.journal.close()
         _raise_on_leaks(
-            self.state, "service shutdown audit found leaked synchronous bandwidth"
+            self.controller,
+            "service shutdown audit found leaked synchronous bandwidth",
         )
 
     async def simulate_kill(self) -> None:
@@ -427,14 +459,14 @@ class AdmissionService:
 
     def _handle_release(self, queued: _Queued) -> ServiceResponse:
         conn_id = queued.conn_id
-        if self.state.shard_of(conn_id) is None:
+        if conn_id not in self.controller.connections:
             self.metrics.count(UNKNOWN)
             return ServiceResponse(
                 verdict=UNKNOWN,
                 conn_id=conn_id,
                 reason="no such active connection",
             )
-        self.state.release(conn_id)
+        self.controller.release(conn_id)
         self._journal("release", {"conn_id": conn_id})
         self.metrics.count(RELEASED)
         return ServiceResponse(verdict=RELEASED, conn_id=conn_id)
@@ -447,24 +479,25 @@ class AdmissionService:
             return self._busy_response(conn_id, "admissions frozen (overload)")
         if self.ladder.frozen:
             self.metrics.n_thaw_probes += 1
-        # Checked before resolving so a duplicate never merges shards.
-        if conn_id in self.state.active:
+        controller = self.controller
+        if conn_id in controller.connections:
             self.metrics.count(ERROR)
             return ServiceResponse(
                 verdict=ERROR,
                 conn_id=conn_id,
                 reason="connection id already active",
             )
+        # No route is a journaled rejection here; inside the controller's
+        # decision it would raise and be answered ERROR.
         try:
-            route = self.state.route_of(spec)
+            compute_route(controller.topology, spec.source_host, spec.dest_host)
         except RoutingError as exc:
             return self._finish_reject(conn_id, f"no route: {exc}", latency=0.0)
-        shard, footprint = self.state.resolve(route)
-        shard.controller.set_analysis_config(
+        controller.set_analysis_config(
             self.ladder.analysis_for(self._base_analysis)
         )
         t0 = self.clock()
-        result = shard.controller.request(spec)
+        result = controller.request(spec)
         latency = self.clock() - t0
         self.ladder.observe(latency)
         self.metrics.observe_latency(latency)
@@ -472,7 +505,7 @@ class AdmissionService:
             # Too late to matter: undo a successful admission so TIMEOUT
             # always means "no state changed".
             if result.admitted:
-                shard.controller.release(conn_id)
+                controller.release(conn_id)
             self.metrics.count(TIMEOUT)
             return ServiceResponse(
                 verdict=TIMEOUT,
@@ -483,7 +516,6 @@ class AdmissionService:
             )
         if not result.admitted:
             return self._finish_reject(conn_id, result.reason, latency)
-        self.state.commit_admit(shard, footprint, result)
         record = result.record
         assert record is not None
         self._journal("admit", codec.record_to_dict(record))
@@ -519,10 +551,10 @@ class AdmissionService:
         if self.journal is None or self.journal.next_seq == 1:
             return
         payload = state_payload(
-            self.state.records_in_order(),
+            list(self.controller.connections.values()),
             self.n_requests,
             self.n_admitted,
-            failed_nodes=self.state.topology.failed_nodes,
+            failed_nodes=self.controller.topology.failed_nodes,
         )
         self.journal.write_snapshot(payload, seq=self.journal.next_seq - 1)
         self.metrics.n_snapshots += 1
@@ -536,22 +568,22 @@ class AdmissionService:
         recovery replays them and the restored state matches.  Returns
         the displaced connection ids (a retry layer would re-admit them).
         """
-        self.state.topology.fail_node(node_id)
+        self.controller.topology.fail_node(node_id)
         self._journal("fault", {"node": node_id})
         displaced = [
             rec.conn_id
-            for rec in self.state.records_in_order()
+            for rec in self.controller.connections.values()
             if node_id in (rec.route.source_device, rec.route.dest_device)
             or node_id in rec.route.switch_path
         ]
         for conn_id in displaced:
-            self.state.release(conn_id)
+            self.controller.release(conn_id)
             self._journal("release", {"conn_id": conn_id})
             self.metrics.n_displaced += 1
         return displaced
 
     async def repair_node(self, node_id: str) -> None:
-        self.state.topology.restore_node(node_id)
+        self.controller.topology.restore_node(node_id)
         self._journal("repair", {"node": node_id})
 
     # -- recovery --------------------------------------------------------
@@ -559,8 +591,8 @@ class AdmissionService:
     def signature(self) -> str:
         """The current recovery signature (see :mod:`repro.service.state`)."""
         return state_signature(
-            self.state.records_in_order(),
-            self.state.topology,
+            list(self.controller.connections.values()),
+            self.controller.topology,
             self.n_requests,
             self.n_admitted,
         )
@@ -605,7 +637,7 @@ class AdmissionService:
                 topology.fail_node(str(node_id))
             for payload in snapshot.get("connections", []):
                 record = codec.dict_to_record(payload)
-                service.state.restore_record(
+                service.controller.restore(
                     record.spec,
                     record.h_source,
                     record.h_dest,
@@ -616,7 +648,7 @@ class AdmissionService:
         tail = store.scan_tail(after_seq=snap_seq)
         for journal_record in tail.records:
             service._replay(journal_record.op, journal_record.data)
-        service.state.refresh_all_bounds()
+        service.controller.refresh_bounds()
         store.open_for_append(
             JournalTail(
                 records=tail.records,
@@ -629,7 +661,7 @@ class AdmissionService:
         # when the tail is empty the snapshot seq is the high-water mark.
         if not tail.records:
             store.next_seq = snap_seq + 1
-        _raise_on_leaks(service.state, "restored state leaks synchronous bandwidth")
+        _raise_on_leaks(service.controller, "restored state leaks synchronous bandwidth")
         report = RestoreReport(
             snapshot_seq=snap_seq,
             n_snapshot_records=n_snapshot_records,
@@ -639,14 +671,14 @@ class AdmissionService:
             signature=service.signature(),
             n_requests=service.n_requests,
             n_admitted=service.n_admitted,
-            n_active=len(service.state.active),
+            n_active=len(service.controller.connections),
         )
         return service, report
 
     def _replay(self, op: str, data: Dict[str, Any]) -> None:
         if op == "admit":
             record = codec.dict_to_record(data)
-            self.state.restore_record(
+            self.controller.restore(
                 record.spec,
                 record.h_source,
                 record.h_dest,
@@ -659,15 +691,15 @@ class AdmissionService:
             self.n_requests += 1
         elif op == "release":
             conn_id = str(data["conn_id"])
-            if self.state.shard_of(conn_id) is None:
+            if conn_id not in self.controller.connections:
                 raise JournalError(
                     f"journal releases unknown connection {conn_id!r}"
                 )
-            self.state.release(conn_id)
+            self.controller.release(conn_id)
         elif op == "fault":
-            self.state.topology.fail_node(str(data["node"]))
+            self.controller.topology.fail_node(str(data["node"]))
         elif op == "repair":
-            self.state.topology.restore_node(str(data["node"]))
+            self.controller.topology.restore_node(str(data["node"]))
         else:  # pragma: no cover - scan_journal rejects unknown ops
             raise JournalError(f"unknown journal op {op!r}")
 
@@ -680,14 +712,13 @@ class AdmissionService:
             {
                 "n_requests": self.n_requests,
                 "n_admitted": self.n_admitted,
-                "n_active": len(self.state.active),
+                "n_active": len(self.controller.connections),
                 "queue_depth": len(self._queue),
                 "ladder_level": self.ladder.level,
                 "ladder_ewma": self.ladder.ewma,
                 "ladder_transitions": [
                     t.describe() for t in self.ladder.transitions
                 ],
-                "shards": self.state.stats(),
                 "journal_seq": (
                     0 if self.journal is None else self.journal.next_seq - 1
                 ),

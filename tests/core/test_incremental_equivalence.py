@@ -15,12 +15,14 @@ regression for the old clear-at-limit behavior (which threw the whole
 working set away at 20k entries and tanked the hit rate mid-sweep).
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.config import CACConfig, NetworkConfig, build_network
 from repro.core import AdmissionController, LRUCache
+from repro.core.delay import ConnectionLoad, DelayAnalyzer
 from repro.network.connection import ConnectionSpec
 from repro.traffic import DualPeriodicTraffic
 
@@ -166,6 +168,71 @@ class TestIncrementalEquivalence:
         stats = cac.engine.stats()
         assert stats["loads_reused"] > 0
         assert stats["partial_computations"] > 0
+
+
+def _exact(report):
+    """Every field of a DelayReport, floats and curves bit-for-bit."""
+    out = report.output
+    return (
+        report.conn_id,
+        repr(report.total_delay),
+        repr(report.per_hop),
+        repr(report.per_hop_backlog),
+        out.xs.tobytes(),
+        out.ys.tobytes(),
+        out.slopes.tobytes(),
+    )
+
+
+def _assert_loads_in_step(cac):
+    """The controller's in-place loads are the loads its records describe,
+    and evaluating them equals a fresh full analysis of those records."""
+    rebuilt = [
+        ConnectionLoad(rec.spec, rec.route, rec.h_source, rec.h_dest)
+        for rec in cac.connections.values()
+    ]
+    assert cac._loads_with(None) == rebuilt  # same order, same fields
+    fresh = DelayAnalyzer(
+        cac.topology, cac.network_config, cac.analyzer.analysis
+    ).compute(rebuilt)
+    got = cac.evaluate(None)
+    assert {c: _exact(r) for c, r in got.items()} == {
+        c: _exact(r) for c, r in fresh.items()
+    }
+
+
+def test_in_place_loads_follow_every_mutation():
+    """Admit, release, restore and an analysis-mode swap each keep the
+    controller's loads equal to a rebuild from its records."""
+    cac = AdmissionController(
+        build_network(), cac_config=CACConfig(beta=0.5, incremental=True)
+    )
+    specs = [
+        ConnectionSpec(f"m{k}", src, dst, STANDING, 0.09)
+        for k, (src, dst) in enumerate(
+            [("host1-1", "host2-1"), ("host1-2", "host2-2"),
+             ("host3-1", "host3-2"), ("host2-3", "host1-3")]
+        )
+    ]
+    for spec in specs:
+        assert cac.request(spec).admitted
+        _assert_loads_in_step(cac)
+    # Releasing from the middle must keep the survivors' order.
+    released = cac.release("m1")
+    _assert_loads_in_step(cac)
+    cac.restore(
+        released.spec, released.h_source, released.h_dest, route=released.route
+    )
+    assert list(cac.connections)[-1] == "m1"
+    _assert_loads_in_step(cac)
+    exact = cac.analyzer.analysis
+    cac.set_analysis_config(dataclasses.replace(exact, coarsen_segments=32))
+    _assert_loads_in_step(cac)
+    assert cac.request(ConnectionSpec("m4", "host3-3", "host1-4", STANDING, 0.15)).admitted
+    cac.release("m0")
+    _assert_loads_in_step(cac)
+    cac.set_analysis_config(exact)
+    _assert_loads_in_step(cac)
 
 
 #: Admit/release script over the standing population.

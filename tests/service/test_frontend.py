@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig, build_network
 from repro.service.bench import TickClock
-from repro.service.frontend import handle_connection, handle_request
+from repro.service.frontend import MAX_LINE_BYTES, handle_request, listen
 from repro.service.server import AdmissionService
 
 NET = NetworkConfig(n_rings=3, hosts_per_ring=4)
@@ -70,13 +70,12 @@ def test_request_dispatch_covers_all_ops():
 
 
 def test_tcp_round_trip_survives_malformed_lines():
+    """Pipelined lines are answered in order; a line of exactly
+    ``MAX_LINE_BYTES`` is served and one byte more is refused."""
+
     async def scenario():
         async with _service() as service:
-            server = await asyncio.start_server(
-                lambda r, w: handle_connection(service, r, w),
-                "127.0.0.1",
-                0,
-            )
+            server = await listen(service, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with server:
                 reader, writer = await asyncio.open_connection(
@@ -87,6 +86,8 @@ def test_tcp_round_trip_survives_malformed_lines():
                     "this is not json",
                     json.dumps(ADMIT_C1),
                     json.dumps([1, 2, 3]),
+                    _padded_admit(MAX_LINE_BYTES, "c2"),
+                    _padded_admit(MAX_LINE_BYTES + 1, "c3"),
                     json.dumps({"op": "release", "conn_id": "c1"}),
                 ]
                 writer.write(("\n".join(lines) + "\n").encode())
@@ -102,11 +103,22 @@ def test_tcp_round_trip_survives_malformed_lines():
 
     answers = asyncio.run(scenario())
     verdicts = [a["verdict"] for a in answers]
-    assert verdicts == ["OK", "ERROR", "ADMITTED", "ERROR", "RELEASED"]
+    assert verdicts == [
+        "OK", "ERROR", "ADMITTED", "ERROR", "ADMITTED", "ERROR", "RELEASED"
+    ]
 
 
 def _bad_admit(**fields):
     return {**ADMIT_C1, "conn_id": "bad", **fields}
+
+
+def _padded_admit(n_bytes, conn_id="bad"):
+    """An otherwise valid admit line of exactly ``n_bytes`` bytes."""
+    request = {**ADMIT_C1, "conn_id": conn_id, "padding": ""}
+    request["padding"] = "x" * (n_bytes - len(json.dumps(request)))
+    line = json.dumps(request)
+    assert len(line.encode()) == n_bytes
+    return line
 
 
 #: Requests the front end must refuse before they reach the dispatcher:
@@ -125,8 +137,8 @@ BAD_REQUESTS = {
     "timeout-nan": _bad_admit(timeout=math.nan),
     "timeout-zero": _bad_admit(timeout=0),
     "release-timeout-negative": {"op": "release", "conn_id": "c0", "timeout": -1.0},
-    # An otherwise valid admit longer than the stream's 64 KiB line limit.
-    "line-over-stream-limit": json.dumps(_bad_admit(padding="x" * 2**16)),
+    # An otherwise valid admit one byte over the front end's line bound.
+    "line-over-stream-limit": _padded_admit(MAX_LINE_BYTES + 1),
     # Deeper than the JSON decoder's recursion limit.
     "json-nested-too-deep": "[" * 30_000,
 }
@@ -139,9 +151,7 @@ def test_non_finite_or_out_of_range_fields_answer_error(case, tmp_path):
 
     async def scenario():
         async with _service(journal_dir=str(tmp_path / "wal")) as service:
-            server = await asyncio.start_server(
-                lambda r, w: handle_connection(service, r, w), "127.0.0.1", 0
-            )
+            server = await listen(service, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with server:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -167,3 +177,4 @@ def test_non_finite_or_out_of_range_fields_answer_error(case, tmp_path):
     assert answer["verdict"] == "ERROR"
     assert after == before
     assert follow_up["verdict"] == "ADMITTED"
+

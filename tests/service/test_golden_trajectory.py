@@ -52,13 +52,10 @@ def test_trajectory_is_pinned(tmp_path):
         decisions = []
         await service.start()
         await apply_ops(service, trajectory_ops(), decisions)
-        state = service.state
         counters = (
             service.n_requests,
             service.n_admitted,
-            len(state.active),
-            len(state.shards),
-            state.n_merges,
+            len(service.controller.connections),
         )
         signature = service.signature()
         await service.stop()
@@ -68,5 +65,5 @@ def test_trajectory_is_pinned(tmp_path):
     fields = ("op", "conn_id", "verdict", "delay_bound")
     assert [tuple(d[f] for f in fields) for d in decisions] == PINNED_DECISIONS
     assert signature == PINNED_SIGNATURE
-    # n_requests, n_admitted, n_active, n_shards, n_merges
-    assert counters == (21, 20, 13, 2, 1)
+    # n_requests, n_admitted, n_active
+    assert counters == (21, 20, 13)

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig, build_network
+from repro.core import AdmissionController
 from repro.errors import AuditError
 from repro.network.connection import ConnectionSpec
 from repro.service.bench import TickClock
@@ -138,10 +139,20 @@ class TestTimeouts:
         assert run(scenario()).verdict == ADMITTED
 
 
+def _leftovers(service):
+    """Active connections and non-zero ledger discrepancies."""
+    leaks = {
+        rid: diff
+        for rid, diff in service.controller.audit_allocations().items()
+        if diff != 0.0
+    }
+    return dict(service.controller.connections), leaks
+
+
 class TestShardLifecycle:
+    """A refused or timed-out admit leaves nothing behind."""
+
     def test_refused_admits_leave_no_shard(self):
-        # A refused admit on an untouched footprint must not leave the
-        # fresh shard it was decided in registered.
         async def scenario():
             async with _service() as service:
                 responses = [
@@ -150,16 +161,12 @@ class TestShardLifecycle:
                     )
                     for k in range(5)
                 ]
-                return (
-                    responses,
-                    len(service.state.shards),
-                    service.metrics_snapshot()["shards"]["n_shards"],
-                )
+                return responses, _leftovers(service), service.metrics_snapshot()
 
-        responses, n_shards, reported = run(scenario())
+        responses, leftovers, snap = run(scenario())
         assert [r.verdict for r in responses] == [REJECTED] * 5
-        assert n_shards == 0
-        assert reported == 0
+        assert leftovers == ({}, {})
+        assert snap["n_active"] == 0
 
     def test_timed_out_admit_leaves_no_shard(self):
         # Clock reads 10 ms apart: the request passes the dequeue check
@@ -170,12 +177,12 @@ class TestShardLifecycle:
                 response = await service.submit_admit(
                     _spec("slow"), timeout=0.025
                 )
-                return response, len(service.state.shards)
+                return response, _leftovers(service)
 
-        response, n_shards = run(scenario())
+        response, leftovers = run(scenario())
         assert response.verdict == TIMEOUT
         assert "decision exceeded" in response.reason
-        assert n_shards == 0
+        assert leftovers == ({}, {})
 
 
 class TestBackpressure:
@@ -330,9 +337,8 @@ class TestConcurrencyRegressions:
     def test_concurrent_duplicate_admits_one_winner(self, tmp_path):
         # Decisions run inline in dispatch order: the first admit commits
         # before the second is dequeued, and the duplicate check refuses
-        # the second before it resolves (or creates) a shard.  The loser's
-        # route is disjoint from the winner's, so a shard resolved for it
-        # would be a second one.
+        # the second before its route is analysed.  The loser's route is
+        # disjoint from the winner's.
         async def scenario():
             async with _service(journal_dir=str(tmp_path / "wal")) as service:
                 first, second = await asyncio.gather(
@@ -340,18 +346,17 @@ class TestConcurrencyRegressions:
                     service.submit_admit(_spec("dup", "host3-1", "host4-1")),
                 )
                 records = service.journal.scan_tail(after_seq=0).records
-                return first, second, records, service.state.stats()
+                return first, second, records, dict(service.controller.connections)
 
-        first, second, records, stats = run(scenario())
+        first, second, records, active = run(scenario())
         assert (first.verdict, second.verdict) == (ADMITTED, ERROR)
         assert "already active" in second.reason
         assert _journaled(records) == [("admit", "dup")]
-        assert stats["n_shards"] == 1
-        assert stats["n_merges"] == 0
+        assert active["dup"].route.source_ring == "ring1"
 
     def test_gathered_ops_journal_in_dispatch_order(self, tmp_path):
-        # Admits and releases in flight together across two disjoint
-        # shards (rings 1-2 and 3-4) are decided, and journaled, in
+        # Admits and releases in flight together on two disjoint ring
+        # pairs (rings 1-2 and 3-4) are decided, and journaled, in
         # dispatch order: priority first, then arrival.  Replaying that
         # journal must rebuild the live state exactly.
         wal = str(tmp_path / "wal")
@@ -375,7 +380,6 @@ class TestConcurrencyRegressions:
             await service.start()
             await service.submit_admit(_spec("a0", "host1-1", "host2-1"))
             await service.submit_admit(_spec("b0", "host3-1", "host4-1"))
-            assert service.state.stats()["n_shards"] == 2
             responses = await asyncio.gather(
                 *(_submit(service, op) for op in batch)
             )
@@ -411,9 +415,9 @@ class TestConcurrencyRegressions:
         assert restored.signature() == live
 
     def test_overlap_merge_handoff_admits_and_audits_clean(self):
-        # Successive admissions whose routes share rings force shard
-        # merges; the exit audit in stop() proves no allocation leaked
-        # through the merge.
+        # Successive admissions whose routes share rings chain three
+        # ring pairs together; the exit audit in stop() proves no
+        # allocation leaked.
         async def scenario():
             async with _service() as service:
                 r1 = await service.submit_admit(
@@ -446,6 +450,58 @@ class TestConcurrencyRegressions:
         assert run(scenario()).verdict == ADMITTED
 
 
+#: Disjoint ring pairs: (1,2) and (3,4) share no port and no ring.
+GROUP_A = [_spec(f"a{j}", f"host1-{j + 1}", f"host2-{j + 1}") for j in range(3)]
+GROUP_B = [_spec(f"b{j}", f"host3-{j + 1}", f"host4-{j + 1}") for j in range(3)]
+BRIDGE = _spec("x", "host1-1", "host3-1")
+
+
+class TestDecisionEquivalence:
+    """The service must decide exactly as a bare controller does."""
+
+    def test_service_matches_bare_controller(self):
+        """Same admit sequence through the service, same verdicts,
+        bit-identical bounds and ledgers."""
+        reference = AdmissionController(
+            build_network(NET), cac_config=CACConfig()
+        )
+        specs = GROUP_A + GROUP_B + [BRIDGE, _spec("a9", "host1-4", "host2-1")]
+        service = _service()
+
+        async def scenario():
+            async with service:
+                return [await service.submit_admit(spec) for spec in specs]
+
+        responses = run(scenario())
+        for spec, got in zip(specs, responses):
+            ref = reference.request(spec)
+            assert (got.verdict == ADMITTED) == ref.admitted, spec.conn_id
+            if ref.admitted:
+                mine = service.controller.connections[spec.conn_id]
+                assert repr(got.delay_bound) == repr(
+                    ref.record.delay_bound
+                ), spec.conn_id
+                assert repr(mine.h_source) == repr(ref.record.h_source)
+                assert repr(mine.h_dest) == repr(ref.record.h_dest)
+        ref_rings = reference.topology.rings
+        for rid, ring in service.controller.topology.rings.items():
+            assert repr(ring.allocated_sync_time) == repr(
+                ref_rings[rid].allocated_sync_time
+            )
+
+    def test_audit_clean_after_churn(self):
+        async def scenario():
+            async with _service() as service:
+                for spec in GROUP_A + GROUP_B:
+                    await service.submit_admit(spec)
+                await service.submit_release("a1")
+                await service.submit_admit(_spec("a1b", "host1-2", "host2-2"))
+                return service.controller.audit_allocations()
+
+        leaks = run(scenario())
+        assert max(abs(d) for d in leaks.values()) < 1e-12
+
+
 class TestShutdownAudit:
     def test_stop_raises_on_ledger_leak(self):
         async def scenario():
@@ -453,7 +509,7 @@ class TestShutdownAudit:
             async with service:
                 await service.submit_admit(_spec("c1"))
                 # Sabotage the ledger behind the controller's back.
-                ring = service.state.topology.rings["ring1"]
+                ring = service.controller.topology.rings["ring1"]
                 ring.allocate("ghost", 1e-3)
 
         with pytest.raises(AuditError, match="leaked"):
