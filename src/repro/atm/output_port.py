@@ -20,16 +20,16 @@ rate (wire rate scaled by 48/53).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.atm.link import AtmLink
 from repro.envelopes.curve import Curve, sum_curves
 from repro.envelopes.operations import FifoBounds, horizontal_deviation
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
-from repro.servers.base import ServerAnalysis, SharedServer
+from repro.servers.base import ServerAnalysis
 
 
-class OutputPortServer(SharedServer):
+class OutputPortServer:
     """FIFO multiplexer onto one ATM link.
 
     Parameters
@@ -69,39 +69,57 @@ class OutputPortServer(SharedServer):
         """The port's service curve: rate-latency with the port latency."""
         return Curve.rate_latency(self.service_rate, self.port_latency)
 
-    def analyze_tagged(
-        self, tagged: Curve, cross: Sequence[Curve]
-    ) -> ServerAnalysis:
-        """Busy-period FIFO analysis for the tagged connection.
+    def analyze_aggregate(self, aggregate: Curve) -> Tuple[float, float, float]:
+        """Busy-period FIFO bounds of the aggregate arrival ``aggregate``.
+
+        Returns ``(delay, backlog, busy_interval)``: the horizontal
+        deviation of ``aggregate`` from the service curve within the busy
+        interval, and the vertical deviation.  The one FIFO port analysis:
+        :meth:`analyze_tagged` and the delay engine's shared stages both
+        call it.
 
         Raises
         ------
         UnstableSystemError
-            If the aggregate long-term rate exceeds the link payload rate.
+            If the aggregate long-term rate exceeds the link payload rate,
+            or the busy period or delay is unbounded.
         BufferOverflowError
             If the worst-case aggregate backlog exceeds the port buffer.
         """
-        aggregate = sum_curves([tagged, *cross])
         service = self.service_curve()
+        # The 1e-12 relative slack lets an aggregate up to that much over
+        # the link rate reach FifoBounds; an endless busy period still
+        # rejects it below.
         if aggregate.final_slope > self.service_rate * (1 + 1e-12):
             raise UnstableSystemError(
                 f"{self.name}: aggregate rate {aggregate.final_slope:.6g} b/s "
                 f"exceeds link payload rate {self.service_rate:.6g} b/s"
             )
         bounds = FifoBounds(aggregate, service)
-        b = bounds.busy
-        if math.isinf(b):
+        busy = bounds.busy
+        if math.isinf(busy):
             raise UnstableSystemError(f"{self.name}: unbounded busy period")
         backlog = bounds.backlog()
+        # The 1e-9 bit slack admits up to 1e-9 bits of overflow.
         if backlog > self.buffer_bits + 1e-9:
             raise BufferOverflowError(
                 f"{self.name}: worst-case backlog {backlog:.6g} bits exceeds "
                 f"buffer {self.buffer_bits:.6g} bits"
             )
-        delay = horizontal_deviation(aggregate, service, t_max=b)
+        delay = horizontal_deviation(aggregate, service, t_max=busy)
         if math.isinf(delay):
             raise UnstableSystemError(f"{self.name}: unbounded delay")
+        return delay, backlog, busy
 
+    def analyze_tagged(
+        self, tagged: Curve, cross: Sequence[Curve]
+    ) -> ServerAnalysis:
+        """Busy-period FIFO analysis for the tagged connection.
+
+        Raises what :meth:`analyze_aggregate` raises for the aggregate of
+        ``tagged`` and ``cross``.
+        """
+        delay, backlog, busy = self.analyze_aggregate(sum_curves([tagged, *cross]))
         # FIFO output bound: the tagged envelope advanced by the delay bound,
         # capped at the link payload rate (cells leave serialized).
         output = tagged.shift_left(delay).cap(self.service_rate)
@@ -109,7 +127,7 @@ class OutputPortServer(SharedServer):
             delay_bound=delay,
             output=output,
             backlog_bound=backlog,
-            busy_interval=b,
+            busy_interval=busy,
         )
 
     def __repr__(self) -> str:

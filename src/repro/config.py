@@ -80,10 +80,6 @@ class AnalysisConfig:
     #: exact).  Rounding up keeps envelopes conservative and makes them
     #: identical across nearby binary-search probes — a large cache win.
     output_delay_quantum: float = 1e-4
-    #: Entry budget of the analyzer's stage/envelope caches.  Eviction is
-    #: least-recently-used, so long sweeps degrade gracefully instead of
-    #: falling off a cold-cache cliff at the limit.
-    stage_cache_size: int = 20_000
     #: Optional accuracy-for-speed trade: cap every curve the analysis
     #: propagates at this many segments via conservative coarsening
     #: (arrival/output envelopes are rounded *up*, availability/service
@@ -98,10 +94,6 @@ class AnalysisConfig:
     #: exactly; exceeding this cap raises FixedPointDivergenceError
     #: (treated as instability, i.e. automatic CAC rejection).
     fixed_point_max_iterations: int = 100
-    #: Convergence tolerance used only when ``output_delay_quantum`` is 0
-    #: (shifts are then continuous, so exact repetition is replaced by a
-    #: relative-change test).
-    fixed_point_rtol: float = 1e-9
     #: **Test-only.**  Route every analysis through the fixed-point
     #: solver, even on feed-forward topologies, so equivalence with the
     #: chain analysis can be asserted bit-for-bit.
@@ -114,14 +106,10 @@ class AnalysisConfig:
             raise ConfigurationError("need at least 8 envelope segments")
         if self.output_delay_quantum < 0:
             raise ConfigurationError("delay quantum must be non-negative")
-        if self.stage_cache_size < 4:
-            raise ConfigurationError("stage cache needs at least 4 entries")
         if self.coarsen_segments is not None and self.coarsen_segments < 8:
             raise ConfigurationError("coarsen_segments must be >= 8 (or None)")
         if self.fixed_point_max_iterations < 1:
             raise ConfigurationError("fixed_point_max_iterations must be >= 1")
-        if self.fixed_point_rtol <= 0:
-            raise ConfigurationError("fixed_point_rtol must be positive")
 
 
 @dataclasses.dataclass(frozen=True)

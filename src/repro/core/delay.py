@@ -22,7 +22,7 @@ entrance envelopes — until the shift vector repeats exactly.  Because the
 shift map is monotone non-decreasing on the ``output_delay_quantum``
 lattice, exact repetition is the convergence criterion (with a zero
 quantum the test degrades to a relative tolerance,
-``fixed_point_rtol``).  Non-convergence within
+:data:`FIXED_POINT_RTOL`).  Non-convergence within
 ``fixed_point_max_iterations`` raises
 :class:`~repro.errors.FixedPointDivergenceError` — the cycle admits no
 stable bound at this load, which admission control treats as infeasible.
@@ -43,22 +43,26 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import AnalysisConfig, NetworkConfig
 from repro.envelopes.curve import Curve, sum_curves
-from repro.envelopes.operations import FifoBounds, horizontal_deviation
-from repro.errors import (
-    BufferOverflowError,
-    CyclicDependencyError,
-    FixedPointDivergenceError,
-    UnstableSystemError,
-)
+from repro.errors import CyclicDependencyError, FixedPointDivergenceError
 from repro.fddi.mac_server import FDDIMacServer
 from repro.interface_device.cell_frame import CellFrameConversionServer
 from repro.interface_device.frame_cell import FrameCellConversionServer
 from repro.network.connection import ConnectionSpec
 from repro.network.routing import Route
 from repro.network.topology import NetworkTopology
+from repro.atm.link import AtmLink
 from repro.atm.output_port import OutputPortServer
 from repro.servers.base import DedicatedServer
 from repro.servers.constant import ConstantDelayServer
+
+#: Entry budget of each of the analyzer's LRU caches.
+STAGE_CACHE_SIZE = 20_000
+#: Fixed-point convergence tolerance, used only when
+#: ``output_delay_quantum`` is 0 (shifts are then continuous, so exact
+#: repetition is replaced by a relative-change test).  It errs low: the
+#: iterates climb towards the least fixed point from below, so stopping on
+#: a small step can leave the shifts under it.
+FIXED_POINT_RTOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,8 +148,8 @@ class LRUCache:
     The previous policy — ``clear()`` everything past the limit — meant one
     long sweep point crossing the threshold silently reverted every later
     probe to cold-cache cost.  LRU eviction keeps the hot working set
-    resident; hit/miss/eviction counters feed the cache-health regression
-    tests and the perfbench trace.
+    resident; hit/miss/eviction counters feed ``TestLRUCache`` and
+    perfbench's ``delay.cache.*`` metrics.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
@@ -203,26 +207,40 @@ class LRUCache:
         }
 
 
+def _switch_hops(
+    topology: NetworkTopology, route: Route
+) -> List[Tuple[str, OutputPortServer, AtmLink]]:
+    """The backbone walk of ``route``: ``(switch_id, port, link)`` for each
+    switch on its path, where ``port`` feeds ``link`` to the next switch
+    or, at the last switch, down to the destination device.
+
+    The one route walk: :func:`route_port_names` and
+    :meth:`DelayAnalyzer.build_stages` both read their ports from it.
+    """
+    path = route.switch_path
+    hops = []
+    for idx, switch_id in enumerate(path):
+        if idx + 1 < len(path):
+            nxt = path[idx + 1]
+            port = topology.switch_port(switch_id, nxt)
+            link = topology.switch_link(switch_id, nxt)
+        else:
+            port = topology.downlink_port(switch_id, route.dest_device)
+            link = topology.downlink(switch_id, route.dest_device)
+        hops.append((switch_id, port, link))
+    return hops
+
+
 def route_port_names(topology: NetworkTopology, route: Route) -> Tuple[str, ...]:
     """Names of the shared (ATM output-port) stages along ``route``.
 
     This is the route's interference footprint: two connections can affect
-    each other's delay analysis only through ports both traverse.  Must
-    mirror the SharedStage placement of :meth:`DelayAnalyzer.build_stages`.
+    each other's delay analysis only through ports both traverse.
     """
     if not route.crosses_backbone:
         return ()
-    src_dev = topology.devices[route.source_device]
-    names = [src_dev.uplink_port.name]
-    path = route.switch_path
-    for idx, switch_id in enumerate(path):
-        if idx + 1 < len(path):
-            names.append(topology.switch_port(switch_id, path[idx + 1]).name)
-        else:
-            names.append(
-                topology.downlink_port(switch_id, route.dest_device).name
-            )
-    return tuple(names)
+    uplink = topology.devices[route.source_device].uplink_port
+    return (uplink.name, *(port.name for _, port, _ in _switch_hops(topology, route)))
 
 
 class DelayAnalyzer:
@@ -240,23 +258,23 @@ class DelayAnalyzer:
         #: Cache of dedicated-stage analyses keyed by (server key, envelope
         #: fingerprint) — hit heavily by binary-search probes, where most
         #: connections' upstream stages are unchanged.
-        self._stage_cache = LRUCache(self.analysis.stage_cache_size)
+        self._stage_cache = LRUCache(STAGE_CACHE_SIZE)
         #: Cache of source envelopes keyed by the traffic descriptor.
-        self._envelope_cache = LRUCache(self.analysis.stage_cache_size)
+        self._envelope_cache = LRUCache(STAGE_CACHE_SIZE)
         #: Cache of whole dedicated-stage *runs* keyed by (segment servers,
         #: input-envelope fingerprint).  A hit replays the per-stage delays
         #: and the final tidied envelope without touching any server — the
         #: dominant cost of a repeat probe is otherwise the per-stage walk
         #: (fingerprints, simplify/coarsen) even when every stage hits the
         #: stage cache.
-        self._segment_cache = LRUCache(self.analysis.stage_cache_size)
+        self._segment_cache = LRUCache(STAGE_CACHE_SIZE)
         #: Cache of built server chains keyed by everything the chain
         #: depends on (route, grants, regulator, topology version) — the
         #: chain does *not* depend on the traffic descriptor, so this key
         #: is always hashable.  Holding the chain also keeps the segment
         #: run structure (precomputed server keys) from being rebuilt on
         #: every probe.
-        self._chain_cache = LRUCache(self.analysis.stage_cache_size)
+        self._chain_cache = LRUCache(STAGE_CACHE_SIZE)
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss/eviction counters of the analyzer's internal caches."""
@@ -342,36 +360,21 @@ class DelayAnalyzer:
             ),
         ]
 
-        path = route.switch_path
-        for idx, switch_id in enumerate(path):
+        hops = _switch_hops(topo, route)
+        for idx, (switch_id, port, link) in enumerate(hops):
             switch = topo.switches[switch_id]
-            stages.append(
+            prop_name = "prop" if idx + 1 < len(hops) else "prop-downlink"
+            stages += [
                 DedicatedStage(
                     f"fabric:{switch_id}",
                     ConstantDelayServer(switch.fabric_delay, name=f"fabric:{switch_id}"),
-                )
-            )
-            if idx + 1 < len(path):
-                nxt = path[idx + 1]
-                port = topo.switch_port(switch_id, nxt)
-                link = topo.switch_link(switch_id, nxt)
-                stages.append(SharedStage(port.name, port))
-                stages.append(
-                    DedicatedStage(
-                        f"prop:{link.link_id}",
-                        ConstantDelayServer(link.propagation_delay, name="prop"),
-                    )
-                )
-            else:
-                port = topo.downlink_port(switch_id, dst_dev.device_id)
-                link = topo.downlink(switch_id, dst_dev.device_id)
-                stages.append(SharedStage(port.name, port))
-                stages.append(
-                    DedicatedStage(
-                        f"prop:{link.link_id}",
-                        ConstantDelayServer(link.propagation_delay, name="prop-downlink"),
-                    )
-                )
+                ),
+                SharedStage(port.name, port),
+                DedicatedStage(
+                    f"prop:{link.link_id}",
+                    ConstantDelayServer(link.propagation_delay, name=prop_name),
+                ),
+            ]
 
         ring_r = topo.rings[route.dest_ring]
         stages += [
@@ -407,11 +410,11 @@ class DelayAnalyzer:
         """The (cached) server chain for ``load`` plus its segment runs.
 
         ``runs`` maps the index of each maximal dedicated run's first stage
-        to ``(end_index, seg_keys)``; ``seg_keys`` is ``None`` when any
-        server in the run refuses memoization.  Servers are stateless
-        analyzers, so reusing the chain across computations is safe; the
-        topology version in the key retires chains built against a network
-        that has since mutated.
+        to ``(end_index, seg_keys)``, where ``seg_keys`` is the tuple of the
+        run's server cache keys.  Servers are stateless analyzers, so
+        reusing the chain across computations is safe; the topology version
+        in the key retires chains built against a network that has since
+        mutated.
         """
         route = load.route
         reg = load.regulator
@@ -436,11 +439,11 @@ class DelayAnalyzer:
         while i < n:
             if isinstance(stages[i], DedicatedStage):
                 j = i
-                seg_keys: List[object] = []
+                seg_keys = []
                 while j < n and isinstance(stages[j], DedicatedStage):
                     seg_keys.append(stages[j].server.cache_key())
                     j += 1
-                runs[i] = (j, None if None in seg_keys else tuple(seg_keys))
+                runs[i] = (j, tuple(seg_keys))
                 i = j
             else:
                 i += 1
@@ -481,12 +484,8 @@ class DelayAnalyzer:
             envelope = envelope.coarsen(cap, direction="upper")
         return envelope
 
-    def _analyze_dedicated(self, stage: DedicatedStage, conn, envelope: Curve):
-        server = stage.server
-        skey = server.cache_key()
-        if skey is None:
-            return server.analyze(envelope)
-        key = (skey, envelope.fingerprint())
+    def _analyze_dedicated(self, server: DedicatedServer, envelope: Curve):
+        key = (server.cache_key(), envelope.fingerprint())
         hit = self._stage_cache.get(key)
         if hit is not None:
             return hit
@@ -512,28 +511,19 @@ class DelayAnalyzer:
             return False
         end, seg_keys = run
         seg = stages[start:end]
-        cacheable = seg_keys is not None
-        if cacheable:
-            key = (seg_keys, st.envelope.fingerprint())
-            hit = self._segment_cache.get(key)
-            if hit is not None:
-                delays, backlogs, out_env = hit
-                for stage, d, b in zip(seg, delays, backlogs):
-                    st.total += d
-                    st.hops.append((stage.name, d))
-                    st.hop_backlogs.append((stage.name, b))
-                st.envelope = out_env
-                st.idx = end
-                return True
-        delays = []
-        backlogs = []
-        env = st.envelope
-        for stage in seg:
-            result = self._analyze_dedicated(stage, st.load, env)
-            delays.append(result.delay_bound)
-            backlogs.append(result.backlog_bound)
-            env = self._tidy(result.output)
-        if cacheable:
+        key = (seg_keys, st.envelope.fingerprint())
+        hit = self._segment_cache.get(key)
+        if hit is not None:
+            delays, backlogs, env = hit
+        else:
+            delays = []
+            backlogs = []
+            env = st.envelope
+            for stage in seg:
+                result = self._analyze_dedicated(stage.server, env)
+                delays.append(result.delay_bound)
+                backlogs.append(result.backlog_bound)
+                env = self._tidy(result.output)
             self._segment_cache.put(key, (tuple(delays), tuple(backlogs), env))
         for stage, d, b in zip(seg, delays, backlogs):
             st.total += d
@@ -543,24 +533,49 @@ class DelayAnalyzer:
         st.idx = end
         return True
 
+    def _analyze_port(self, port: OutputPortServer, envelopes: Dict[int, Curve]):
+        """Analyze a FIFO port once for all its participants.
+
+        Returns ``(delay, backlog, busy_interval, shift)``.  The bounds are
+        :meth:`OutputPortServer.analyze_aggregate` of the participants'
+        aggregate; every participant shares the delay bound, and its output
+        envelope is its input advanced by ``shift`` and capped at link rate
+        (:meth:`_port_output`).  ``shift`` is the delay rounded up to
+        ``output_delay_quantum``.
+
+        With ``coarsen_segments`` set, the *aggregate* arrival envelope is
+        conservatively rounded up to that many segments before the port
+        analysis — the per-connection inputs and outputs are untouched.
+        """
+        aggregate = sum_curves(envelopes.values())
+        knob = self.analysis.coarsen_segments
+        if knob is not None and len(aggregate.xs) > knob:
+            aggregate = aggregate.coarsen(knob, direction="upper")
+        delay, backlog, busy = port.analyze_aggregate(aggregate)
+        quantum = self.analysis.output_delay_quantum
+        if quantum > 0 and delay > 0:
+            # The 1e-12 slack errs low: the shift may fall below the exact
+            # delay by up to 1e-12 * quantum.
+            shift = math.ceil(delay / quantum - 1e-12) * quantum
+        else:
+            shift = delay
+        return delay, backlog, busy, shift
+
     def _analyze_port_cached(self, port, envelopes: Dict[int, Curve]):
         """Memoized FIFO-port analysis.
 
-        Two calls with the same port and the same multiset of participant
-        envelopes produce identical results, and identical envelopes get
-        identical outputs — so the cache stores outputs keyed by envelope
-        fingerprint.
+        Returns ``(delay, backlog, busy_interval, shift, outputs)``, where
+        ``outputs`` maps each key of ``envelopes`` to its member's tidied
+        output envelope.  Two calls with the same port and the same
+        multiset of participant envelopes produce identical results, and
+        identical envelopes get identical outputs — so the cache stores
+        outputs keyed by envelope fingerprint.
         """
         fps = {key: env.fingerprint() for key, env in envelopes.items()}
         cache_key = (port.name, tuple(sorted(fps.values())))
         hit = self._stage_cache.get(cache_key)
         if hit is None:
-            delay, backlog, busy, shift = _analyze_port(
-                port,
-                envelopes,
-                delay_quantum=self.analysis.output_delay_quantum,
-                coarsen_segments=self.analysis.coarsen_segments,
-            )
+            delay, backlog, busy, shift = self._analyze_port(port, envelopes)
             # Per-member outputs are memoized on (rate, envelope, shift):
             # the quantized shift takes few distinct values across a binary
             # search, and most members' envelopes are unchanged between
@@ -576,14 +591,14 @@ class DelayAnalyzer:
                 out_key = ("port-out", rate, fp, shift)
                 out = self._stage_cache.get(out_key)
                 if out is None:
-                    out = self._tidy(env.shift_left(shift).cap(rate))
+                    out = self._port_output(env, rate, shift)
                     self._stage_cache.put(out_key, out)
                 by_fp[fp] = out
-            self._stage_cache.put(cache_key, (delay, backlog, busy, by_fp))
+            self._stage_cache.put(cache_key, (delay, backlog, busy, shift, by_fp))
         else:
-            delay, backlog, busy, by_fp = hit
+            delay, backlog, busy, shift, by_fp = hit
         outputs = {key: by_fp[fp] for key, fp in fps.items()}
-        return delay, backlog, busy, outputs
+        return delay, backlog, busy, shift, outputs
 
     def compute(self, loads: Sequence[ConnectionLoad]) -> Dict[str, DelayReport]:
         """Worst-case end-to-end delay of every connection in ``loads``.
@@ -656,7 +671,7 @@ class DelayAnalyzer:
             group = traversers[port_name]
             stage = group[0].stages[group[0].idx]
             envelopes = {id(g): g.envelope for g in group}
-            delay, backlog, busy, outputs = self._analyze_port_cached(
+            delay, backlog, busy, _, outputs = self._analyze_port_cached(
                 stage.port, envelopes
             )
             port_backlogs[port_name] = backlog
@@ -705,9 +720,10 @@ class DelayAnalyzer:
     def _port_output(self, envelope: Curve, rate: float, shift: float) -> Curve:
         """A member's envelope after a shared port, given the port's shift.
 
-        Must stay the exact expression :meth:`_analyze_port_cached` uses for
-        worklist-resolved ports, so fixed-point results on feed-forward
-        topologies are bit-identical to the chain analysis.
+        Worklist-resolved ports (:meth:`_analyze_port_cached`) and the
+        fixed-point iteration both build outputs here, so fixed-point
+        results on feed-forward topologies are bit-identical to the chain
+        analysis.
         """
         return self._tidy(envelope.shift_left(shift).cap(rate))
 
@@ -775,17 +791,12 @@ class DelayAnalyzer:
                         walker.idx += 1
             new_shifts: Dict[str, float] = {}
             for name in sorted(ports):
-                delay, backlog, busy, shift = _analyze_port(
-                    ports[name],
-                    inputs[name],
-                    delay_quantum=quantum,
-                    coarsen_segments=self.analysis.coarsen_segments,
+                delay, backlog, busy, shift = self._analyze_port(
+                    ports[name], inputs[name]
                 )
                 results[name] = (delay, backlog, busy)
                 new_shifts[name] = shift
-            converged = _shifts_converged(
-                shifts, new_shifts, quantum, self.analysis.fixed_point_rtol
-            )
+            converged = _shifts_converged(shifts, new_shifts, quantum)
             shifts = new_shifts
             if converged:
                 break
@@ -832,10 +843,7 @@ class _ConnState:
 
 
 def _shifts_converged(
-    old: Dict[str, float],
-    new: Dict[str, float],
-    quantum: float,
-    rtol: float,
+    old: Dict[str, float], new: Dict[str, float], quantum: float
 ) -> bool:
     """The fixed-point convergence criterion.
 
@@ -843,58 +851,13 @@ def _shifts_converged(
     discrete lattice, so convergence is *exact repetition* — the map is
     monotone non-decreasing, hence a repeat is the least fixed point above
     the zero start.  With a zero quantum shifts are continuous and exact
-    repetition may never occur; a relative-change test stands in.
+    repetition may never occur; a relative-change test with
+    :data:`FIXED_POINT_RTOL` stands in.
     """
     if quantum > 0:
         return all(new[name] == old[name] for name in new)
     return all(
-        abs(new[name] - old[name]) <= rtol * max(abs(new[name]), 1e-30)
+        abs(new[name] - old[name]) <= FIXED_POINT_RTOL * max(abs(new[name]), 1e-30)
         for name in new
     )
 
-
-def _analyze_port(
-    port: OutputPortServer,
-    envelopes: Dict[int, Curve],
-    delay_quantum: float = 0.0,
-    coarsen_segments: Optional[int] = None,
-):
-    """Analyze a FIFO port once for all its participants.
-
-    Returns ``(delay, backlog, busy_interval, shift)``.  Every participant
-    shares the aggregate FIFO delay bound; its output envelope is its input
-    advanced by ``shift`` (the delay rounded up to ``delay_quantum``, which
-    is conservative) capped at link rate — computed by the caller so equal
-    envelopes can share one output.
-
-    With ``coarsen_segments`` set, the *aggregate* arrival envelope is
-    conservatively rounded up to that many segments before the deviation
-    analysis — the per-connection inputs and outputs are untouched.
-    """
-    aggregate = sum_curves(envelopes.values())
-    if coarsen_segments is not None and len(aggregate.xs) > coarsen_segments:
-        aggregate = aggregate.coarsen(coarsen_segments, direction="upper")
-    service = port.service_curve()
-    if aggregate.final_slope > port.service_rate * (1 + 1e-12):
-        raise UnstableSystemError(
-            f"{port.name}: aggregate rate {aggregate.final_slope:.6g} b/s "
-            f"exceeds link payload rate {port.service_rate:.6g} b/s"
-        )
-    bounds = FifoBounds(aggregate, service)
-    busy = bounds.busy
-    if math.isinf(busy):
-        raise UnstableSystemError(f"{port.name}: unbounded busy period")
-    backlog = bounds.backlog()
-    if backlog > port.buffer_bits + 1e-9:
-        raise BufferOverflowError(
-            f"{port.name}: worst-case backlog {backlog:.6g} bits exceeds "
-            f"buffer {port.buffer_bits:.6g} bits"
-        )
-    delay = horizontal_deviation(aggregate, service, t_max=busy)
-    if math.isinf(delay):
-        raise UnstableSystemError(f"{port.name}: unbounded delay")
-    if delay_quantum > 0 and delay > 0:
-        shift = math.ceil(delay / delay_quantum - 1e-12) * delay_quantum
-    else:
-        shift = delay
-    return delay, backlog, busy, shift

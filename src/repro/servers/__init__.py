@@ -5,9 +5,14 @@ Every network component a connection traverses is modeled as a *server* that
 traffic with a (possibly reshaped) output envelope.  Compound servers
 (FDDI_S, ID_S, ...) are chains of simple servers; the end-to-end bound is
 the sum over the chain (Eq. 7).
+
+This package holds the *dedicated* servers, whose analysis depends on one
+connection's traffic only.  The one shared server, the FIFO ATM output
+port, is :class:`repro.atm.OutputPortServer`: the delay engine analyzes
+it once per port for the aggregate of every connection crossing it.
 """
 
-from repro.servers.base import DedicatedServer, ServerAnalysis, SharedServer
+from repro.servers.base import DedicatedServer, ServerAnalysis
 from repro.servers.constant import ConstantDelayServer
 from repro.servers.compound import ServerChain
 from repro.servers.regulator import RegulatorServer
@@ -18,5 +23,4 @@ __all__ = [
     "RegulatorServer",
     "ServerAnalysis",
     "ServerChain",
-    "SharedServer",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Sequence
 
 from repro.envelopes.curve import Curve
 
@@ -48,23 +47,10 @@ class DedicatedServer(abc.ABC):
     def analyze(self, arrival: Curve) -> ServerAnalysis:
         """Analyze the server for a connection with input envelope ``arrival``."""
 
+    @abc.abstractmethod
     def cache_key(self):
         """A hashable key identifying this server's *behaviour* (not its
-        name), or ``None`` if results must not be memoized.  Two servers
-        with equal keys must produce identical analyses for identical
-        inputs; the delay engine memoizes on ``(cache_key, envelope)``."""
-        return None
+        name).  Two servers with equal keys must produce identical analyses
+        for identical inputs; the delay engine memoizes every dedicated
+        stage on ``(cache_key, envelope)``."""
 
-
-class SharedServer(abc.ABC):
-    """A server multiplexing several connections onto one resource (the ATM
-    output ports).  Its delay bound for a *tagged* connection depends on the
-    envelopes of all connections sharing it."""
-
-    name: str = "shared-server"
-
-    @abc.abstractmethod
-    def analyze_tagged(
-        self, tagged: Curve, cross: Sequence[Curve]
-    ) -> ServerAnalysis:
-        """Analyze the tagged connection given the cross-traffic envelopes."""

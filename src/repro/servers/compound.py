@@ -38,6 +38,9 @@ class ServerChain(DedicatedServer):
             busy_interval=max_busy,
         )
 
+    def cache_key(self):
+        return ("chain", tuple(server.cache_key() for server in self.servers))
+
     def analyze_per_hop(
         self, arrival: Curve
     ) -> Tuple[List[Tuple[str, ServerAnalysis]], Curve]:

@@ -2,9 +2,10 @@
 
 Four analyses run the busy interval → backlog → delay sequence and cap
 an output envelope at a rate: the delay engine's shared-port analysis
-(``_analyze_port``, and each member's capped, tidied output as the
-engine's port cache and its fixed-point ``_port_output`` build it), the
-FIFO and the priority ATM output ports, and the leaky-bucket regulator.
+(bounds, quantized shift and each member's capped, tidied output from
+the engine's port cache, each output checked equal to the fixed-point
+``_port_output``, and the bounds to ``OutputPortServer.analyze_aggregate``),
+the FIFO and the priority ATM output ports, and the leaky-bucket regulator.
 Each is pinned bit for bit (a sha256 of the ``repr`` of its bounds and
 output ``xs``/``ys``/``slopes`` lists) on inputs with jumps, ramps,
 Theorem-1 output envelopes, token buckets, a quantized delay and a
@@ -21,8 +22,8 @@ from repro.atm.link import AtmLink
 from repro.atm.output_port import OutputPortServer
 from repro.atm.priority_port import PriorityOutputPortServer
 from repro.config import AnalysisConfig, build_network
-from repro.core.delay import DelayAnalyzer, _analyze_port
-from repro.envelopes.curve import Curve
+from repro.core.delay import DelayAnalyzer
+from repro.envelopes.curve import Curve, sum_curves
 from repro.envelopes.staircase import periodic_burst_staircase
 from repro.fddi.mac_server import FDDIMacServer
 from repro.servers.regulator import RegulatorServer
@@ -180,13 +181,15 @@ def test_analyze_port_is_pinned(case):
             output_delay_quantum=quantum, coarsen_segments=coarsen
         ),
     )
-    delay, backlog, busy, outputs = analyzer._analyze_port_cached(port, members)
-    shift = _analyze_port(
-        port, members, delay_quantum=quantum, coarsen_segments=coarsen
-    )[3]
+    delay, backlog, busy, shift, outputs = analyzer._analyze_port_cached(
+        port, members
+    )
     for key, envelope in members.items():
         fixed_point = analyzer._port_output(envelope, port.service_rate, shift)
         assert _lists(fixed_point) == _lists(outputs[key])
+    if coarsen is None:
+        aggregate = sum_curves(members.values())
+        assert port.analyze_aggregate(aggregate) == (delay, backlog, busy)
     pinned = (delay, backlog, busy, shift, [_lists(outputs[k]) for k in members])
     assert _digest(pinned) == digest
 
