@@ -18,12 +18,12 @@ from repro.core.delay import (
     ConnectionLoad,
     DelayAnalyzer,
     DelayReport,
-    LRUCache,
     RegulatorSpec,
     ResourceUsage,
     route_port_names,
 )
 from repro.core.cac import AdmissionController, AdmissionResult
+from repro.lru import LRUCache
 from repro.core.incremental import IncrementalDelayEngine
 from repro.core.policies import (
     AllocationPolicy,

@@ -36,17 +36,18 @@ delay is infinite" — automatic infeasibility.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import AnalysisConfig, NetworkConfig
 from repro.envelopes.curve import Curve, sum_curves
+from repro.envelopes.operations import PlanCache
 from repro.errors import CyclicDependencyError, FixedPointDivergenceError
 from repro.fddi.mac_server import FDDIMacServer
 from repro.interface_device.cell_frame import CellFrameConversionServer
 from repro.interface_device.frame_cell import FrameCellConversionServer
+from repro.lru import LRUCache
 from repro.network.connection import ConnectionSpec
 from repro.network.routing import Route
 from repro.network.topology import NetworkTopology
@@ -142,71 +143,6 @@ class ResourceUsage:
     )
 
 
-class LRUCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    The previous policy — ``clear()`` everything past the limit — meant one
-    long sweep point crossing the threshold silently reverted every later
-    probe to cold-cache cost.  LRU eviction keeps the hot working set
-    resident; hit/miss/eviction counters feed ``TestLRUCache`` and
-    perfbench's ``delay.cache.*`` metrics.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
-
-    def __init__(self, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("LRU cache needs a positive size")
-        self.maxsize = int(maxsize)
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: "collections.OrderedDict" = collections.OrderedDict()
-
-    def get(self, key, default=None):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-        data[key] = value
-        while len(data) > self.maxsize:
-            data.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
 def _switch_hops(
     topology: NetworkTopology, route: Route
 ) -> List[Tuple[str, OutputPortServer, AtmLink]]:
@@ -275,6 +211,10 @@ class DelayAnalyzer:
         #: run structure (precomputed server keys) from being rebuilt on
         #: every probe.
         self._chain_cache = LRUCache(STAGE_CACHE_SIZE)
+        #: Theorem-1 plans shared by every MAC server this analyzer
+        #: builds: the probes of one decision rerun Theorem 1 on the same
+        #: arrival with another allocation.
+        self._plans = PlanCache()
 
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
         """Hit/miss/eviction counters of the analyzer's internal caches."""
@@ -283,6 +223,7 @@ class DelayAnalyzer:
             "envelope": self._envelope_cache.stats(),
             "segment": self._segment_cache.stats(),
             "chain": self._chain_cache.stats(),
+            "plan": self._plans.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -310,6 +251,7 @@ class DelayAnalyzer:
                     buffer_bits=cfg.mac_buffer_bits,
                     name=f"mac-src:{load.spec.conn_id}",
                     service_segments=self.analysis.coarsen_segments,
+                    plans=self._plans,
                 ),
             ),
             DedicatedStage(
@@ -397,6 +339,7 @@ class DelayAnalyzer:
                     buffer_bits=cfg.mac_buffer_bits,
                     name=f"mac-dst:{load.spec.conn_id}",
                     service_segments=self.analysis.coarsen_segments,
+                    plans=self._plans,
                 ),
             ),
             DedicatedStage(

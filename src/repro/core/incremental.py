@@ -37,9 +37,9 @@ from repro.core.delay import (
     ConnectionLoad,
     DelayAnalyzer,
     DelayReport,
-    LRUCache,
     route_port_names,
 )
+from repro.lru import LRUCache
 
 
 class IncrementalDelayEngine:

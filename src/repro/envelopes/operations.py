@@ -23,23 +23,110 @@ finite grid, and its docstring says which side each approximation errs on.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.envelopes.curve import EPS, Curve, _left_limits_at, _slopes_at
+from repro.lru import LRUCache
+
+
+class GridPlan:
+    """The half of :class:`FifoBounds` that does not read ``S``'s values.
+
+    Built from ``A`` and ``S``'s breakpoints alone: the merged grid
+    ``union1d(A.xs, S.xs)``, ``A`` on it, and the segment of ``S`` each
+    grid point falls on with its offset into that segment, for right
+    values and (on first use) left limits.  :meth:`service_values` and
+    :meth:`left_gaps` read any service with those breakpoints through the
+    expression ``Curve.__call__`` evaluates at the same point, so one plan
+    serves every allocation of a timed-token staircase (the steps sit at
+    ``k * TTRT`` whatever ``H`` is) bit for bit as a fresh grid would.
+    """
+
+    __slots__ = (
+        "arrival",
+        "xs",
+        "a_vals",
+        "tol",
+        "positive",
+        "_service_xs",
+        "_right",
+        "_negative",
+        "_left",
+    )
+
+    def __init__(self, arrival: Curve, service_xs: np.ndarray) -> None:
+        xs = np.union1d(arrival.xs, service_xs)
+        self.arrival = arrival
+        self.xs = xs
+        self.a_vals = arrival(xs)
+        #: The catch-up tolerance at each grid point (see FifoBounds).
+        self.tol = 1e-9 * np.maximum(1.0, np.abs(self.a_vals))
+        self.positive = xs > 0
+        self._service_xs = service_xs
+        self._right = _locate(service_xs, xs, "right")
+        # ``__call__`` reads 0 before t = 0; only a first breakpoint a
+        # hair below 0 (within the constructor's tolerance) puts one there.
+        self._negative = xs < 0.0 if xs[0] < 0.0 else None
+        self._left: Optional[Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = None
+
+    def service_values(self, service: Curve) -> np.ndarray:
+        """``service(xs)`` for a service with the plan's breakpoints."""
+        vals = _values_at(service, self._right)
+        if self._negative is not None:
+            vals = np.where(self._negative, 0.0, vals)
+        return vals
+
+    def left_gaps(self, service: Curve, cut: int) -> np.ndarray:
+        """``A(x-) - S(x-)`` at the first ``cut`` grid points, each left
+        limit as :func:`repro.envelopes.curve._left_limits_at` reads it."""
+        if self._left is None or len(self._left[0]) < cut:
+            # Only the points a caller has asked for: the busy interval
+            # often ends long before the grid does.
+            xs = self.xs[:cut]
+            self._left = (
+                _left_limits_at(self.arrival, xs),
+                _locate(self._service_xs, xs, "left"),
+            )
+        a_left, (seg, offset) = self._left
+        s_left = _values_at(service, (seg[:cut], offset[:cut]))
+        s_left = np.where(self.xs[:cut] <= 0, 0.0, s_left)
+        return a_left[:cut] - s_left
+
+
+def _locate(
+    breakpoints: np.ndarray, ts: np.ndarray, side: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Segment index and offset into it of each ``t``, on a curve with
+    ``breakpoints``, as ``Curve.__call__`` (``side="right"``) or a left
+    limit (``side="left"``) finds them."""
+    seg = np.searchsorted(breakpoints, ts, side=side) - 1
+    np.maximum(seg, 0, out=seg)
+    return seg, ts - breakpoints[seg]
+
+
+def _values_at(
+    curve: Curve, located: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``curve``'s value at points given by :func:`_locate`, the segment's
+    value plus its slope times the offset, as ``Curve.__call__`` adds them."""
+    seg, offset = located
+    return curve.ys[seg] + curve.slopes[seg] * offset
 
 
 class FifoBounds:
     """Busy interval and backlog of ``A`` against ``S`` from one grid.
 
-    ``union1d(A.xs, S.xs)`` is built, and ``A`` and ``A - S`` evaluated
-    on it, once.  :attr:`busy` (what :func:`busy_interval` returns) is
-    read from that grid on construction; :meth:`backlog` reads the
-    backlog within the busy interval from the same arrays, only when a
-    caller needs it, through the body :func:`vertical_deviation` runs.
-    It is bit for bit ``vertical_deviation(A, S, t_max=B)``: every value
-    is the same elementwise expression on the same grid point.
+    The grid, ``A`` on it and ``S``'s segment lookups come from a
+    :class:`GridPlan`: a fresh one, or the one ``plans`` keeps for ``A``
+    and ``S``'s breakpoints.  ``A - S`` is evaluated on it once.
+    :attr:`busy` (what :func:`busy_interval` returns) is read from that
+    grid on construction; :meth:`backlog` reads the backlog within the
+    busy interval from the same arrays, only when a caller needs it,
+    through the body :func:`vertical_deviation` runs.  It is bit for bit
+    ``vertical_deviation(A, S, t_max=B)``: every value is the same
+    elementwise expression on the same grid point.
 
     The catch-up test ``A - S <= 1e-9 * max(1, A)`` at a breakpoint errs
     **low**: ``B`` may end while ``A`` still exceeds ``S`` by less than
@@ -50,17 +137,23 @@ class FifoBounds:
     **high** there, which widens every later supremum (safe).
     """
 
-    __slots__ = ("arrival", "service", "xs", "diff", "busy")
+    __slots__ = ("arrival", "service", "plan", "diff", "busy")
 
-    def __init__(self, arrival: Curve, service: Curve) -> None:
+    def __init__(
+        self,
+        arrival: Curve,
+        service: Curve,
+        plans: "Optional[PlanCache]" = None,
+    ) -> None:
+        if plans is None:
+            plan = GridPlan(arrival, service.xs)
+        else:
+            plan = plans.grid(arrival, service)
         self.arrival = arrival
         self.service = service
-        xs = np.union1d(arrival.xs, service.xs)
-        a_vals = arrival(xs)
-        diff = a_vals - service(xs)
-        self.xs = xs
-        self.diff = diff
-        self.busy = _first_catch_up(arrival, service, xs, a_vals, diff)
+        self.plan = plan
+        self.diff = plan.a_vals - plan.service_values(service)
+        self.busy = _first_catch_up(arrival, service, plan, self.diff)
 
     def backlog(self) -> float:
         """``sup_{0 < t <= B} [A(t) - S(t)]``: the worst-case backlog.
@@ -69,22 +162,19 @@ class FifoBounds:
         every ``t``, which is ``+inf`` when ``A``'s final slope exceeds
         ``S``'s.
         """
-        cut = int(np.searchsorted(self.xs, self.busy, side="right"))
+        cut = int(np.searchsorted(self.plan.xs, self.busy, side="right"))
         return _backlog(
-            self.arrival, self.service, self.xs[:cut], self.diff[:cut], self.busy
+            self.arrival, self.service, self.plan, self.diff, cut, self.busy
         )
 
 
 def _first_catch_up(
-    arrival: Curve,
-    service: Curve,
-    xs: np.ndarray,
-    a_vals: np.ndarray,
-    diff: np.ndarray,
+    arrival: Curve, service: Curve, plan: GridPlan, diff: np.ndarray
 ) -> float:
-    """:attr:`FifoBounds.busy` from the merged grid's values."""
-    tol = 1e-9 * np.maximum(1.0, np.abs(a_vals))
-    hits = (xs > 0) & (diff <= tol)
+    """:attr:`FifoBounds.busy` from the plan's grid and the ``A - S``
+    values on it."""
+    xs, tol = plan.xs, plan.tol
+    hits = plan.positive & (diff <= tol)
     if hits.any():
         # First breakpoint at which the service has caught up; locate the
         # crossing inside the preceding segment when the arrival was
@@ -136,29 +226,33 @@ def vertical_deviation(
     included (it is ``+inf`` when the arrival rate exceeds the service
     rate).
     """
-    xs = np.union1d(arrival.xs, service.xs)
-    xs = xs[xs <= t_max]
-    return _backlog(arrival, service, xs, arrival(xs) - service(xs), t_max)
+    plan = GridPlan(arrival, service.xs)
+    diff = plan.a_vals - plan.service_values(service)
+    cut = int(np.searchsorted(plan.xs, t_max, side="right"))
+    return _backlog(arrival, service, plan, diff, cut, t_max)
 
 
 def _backlog(
     arrival: Curve,
     service: Curve,
-    xs: np.ndarray,
+    plan: GridPlan,
     diff: np.ndarray,
+    cut: int,
     t_max: float,
 ) -> float:
-    """:func:`vertical_deviation` from the merged grid cut at ``t_max``
-    and its ``A - S`` values."""
-    if len(xs) == 0:
-        xs = np.asarray([0.0])
-        diff = arrival(xs) - service(xs)
+    """:func:`vertical_deviation` from the plan's grid cut after its
+    first ``cut`` points (those ``<= t_max``) and its ``A - S`` values."""
     # Right values at the breakpoints, and left limits (a jump *down* in
     # A - S happens when S jumps, so the supremum may sit just before a
     # breakpoint).
-    right = np.max(diff)
-    left = np.max(_left_limits_at(arrival, xs) - _left_limits_at(service, xs))
-    best = max(0.0, float(right), float(left))
+    if cut == 0:
+        xs = np.asarray([0.0])
+        right = arrival(xs) - service(xs)
+        left = _left_limits_at(arrival, xs) - _left_limits_at(service, xs)
+    else:
+        right = diff[:cut]
+        left = plan.left_gaps(service, cut)
+    best = max(0.0, float(np.max(right)), float(np.max(left)))
     if math.isfinite(t_max):
         best = max(best, float(arrival(t_max) - service(t_max)))
         return best
@@ -253,14 +347,232 @@ _CHUNK_ELEMENTS = 262144
 #: calls; 1 to 4 cost within 2 % of each other).
 _SPAN_COST = 2
 
+#: Plans of each kind a :class:`PlanCache` keeps.  The probes of one
+#: admission decision revisit a few arrivals (a median of 3 over 20
+#: Theorem-1 runs in a campus-churn run) and no arrival recurs across
+#: decisions, so a few entries catch the repeats.
+PLAN_CACHE_SIZE = 8
 
-def deconvolve(arrival: Curve, service: Curve, t_limit: float) -> Curve:
+#: Elements a :class:`DeconvolutionPlan` keeps in its matrices.  A plan
+#: over this budget keeps only its grids and rebuilds the matrices in
+#: ``_CHUNK_ELEMENTS`` chunks on every apply, so a full cache holds at
+#: most ``PLAN_CACHE_SIZE`` times this many floats of matrices.
+PLAN_MATRIX_ELEMENTS = 65536
+
+
+def _flat_segments(service: Curve) -> np.ndarray:
+    """Which of ``service``'s segments are exactly flat."""
+    # reprolint: disable=RL003 -- only an exactly zero slope keeps S's value bit-identical across a span
+    return service.slopes == 0.0
+
+
+class DeconvolutionPlan:
+    """The half of :func:`deconvolve` that does not read ``S``'s values.
+
+    Built from ``A``, ``t_limit``, ``S``'s breakpoints and which of its
+    segments are flat (``flat_service``): the ``I`` grid and its
+    thinning, the candidate ``t`` values, ``S``'s spans, and ``A``
+    evaluated at every candidate ``t + I``.  :meth:`apply` reads the
+    values of any service with those breakpoints and flat segments, with
+    the expressions ``Curve.__call__`` evaluates, subtracts them and
+    takes the maxima; a maximum is order-independent, so the result is
+    bit for bit the one-shot :func:`deconvolve`'s.  One plan serves every
+    allocation ``H`` of a timed-token staircase: its steps sit at
+    ``k * TTRT`` and are flat whatever ``H`` is, and the busy interval
+    ``t_limit`` is a whole number of rotations.
+
+    The matrices are kept when they hold at most
+    :data:`PLAN_MATRIX_ELEMENTS` elements, and rebuilt chunk by chunk on
+    every apply otherwise.
+    """
+
+    __slots__ = (
+        "arrival",
+        "i_arr",
+        "thinned",
+        "per_span",
+        "_t_sel",
+        "_edges",
+        "_t_limit",
+        "_service_xs",
+        "_points",
+        "_height",
+        "_matrices",
+        "_dx",
+    )
+
+    def __init__(
+        self,
+        arrival: Curve,
+        service_xs: np.ndarray,
+        flat_service: np.ndarray,
+        t_limit: float,
+    ) -> None:
+        if not math.isfinite(t_limit):
+            raise ValueError("deconvolution needs a finite busy interval")
+        t_limit = max(0.0, t_limit)
+        i_max = arrival.last_breakpoint + t_limit + EPS
+        sxs = service_xs
+
+        # Candidate t values (within [0, t_limit]): breakpoints of S, and a
+        # nudge before each jump of S, where S is still at its left limit.
+        inner = sxs[(sxs > 0.0) & (sxs < t_limit)]
+        nudge_src = np.concatenate([sxs, [t_limit]])
+        nudge_src = nudge_src[(nudge_src > 0.0) & (nudge_src <= t_limit)]
+        nudged = np.maximum(0.0, nudge_src - 1e-9 * np.maximum(1.0, nudge_src))
+        t_base = np.unique(np.concatenate([[0.0, t_limit], inner, nudged]))
+
+        # Candidate I grid: pairwise differences ax - t, plus the arrival
+        # breakpoints themselves, clipped to (0, i_max).
+        axs, ays, aslopes = arrival.xs, arrival.ys, arrival.slopes
+        diffs = (axs[:, None] - t_base[None, :]).ravel()
+        diffs = diffs[(diffs > 0.0) & (diffs < i_max)]
+        ax_inner = axs[(axs > 0.0) & (axs < i_max)]
+        i_arr = np.unique(np.concatenate([[0.0, float(i_max)], diffs, ax_inner]))
+        thinned = len(i_arr) > DECONVOLVE_MAX_CANDIDATES
+        if thinned:
+            # Thin the grid but always keep the endpoints.  With step > 1
+            # the picks rise strictly from 0 and stay below the last index.
+            step = len(i_arr) / float(DECONVOLVE_MAX_CANDIDATES)
+            picks = (np.arange(DECONVOLVE_MAX_CANDIDATES) * step).astype(np.intp)
+            i_arr = i_arr[np.append(picks, len(i_arr) - 1)]
+
+        # Spans of S meeting [0, t_limit]: span j holds the t that S
+        # evaluates on its segment j, i.e. [edges[j], edges[j + 1]).  The
+        # top edge is the float after t_limit, so the last span is closed
+        # at t_limit.
+        n_spans = max(1, int(np.searchsorted(sxs, t_limit, side="right")))
+        edges = np.concatenate(
+            [[0.0], sxs[1:n_spans], [np.nextafter(t_limit, math.inf)]]
+        )
+        # A's float evaluation is non-decreasing iff no segment's rounded
+        # left limit exceeds the next breakpoint's value.
+        a_left = ays[:-1] + aslopes[:-1] * (axs[1:] - axs[:-1])
+        monotone = bool(np.all(aslopes >= 0.0) and np.all(a_left <= ays[1:]))
+        flat = flat_service[:n_spans] & monotone
+
+        # Branch 1 candidates: the right-most t of each flat span, every t
+        # of a sloped one.
+        t_span = np.searchsorted(sxs, t_base, side="right") - 1
+        np.maximum(t_span, 0, out=t_span)
+        last = np.append(t_span[1:] != t_span[:-1], True)
+        t_sel = t_base[last | ~flat[t_span]]
+        # Branch 2 reads one breakpoint per span when every span is flat
+        # and counting them is cheaper than scanning every arrival
+        # breakpoint.  Branch 1 then has one row per span too, and both
+        # subtract the span's level: the plan keeps their larger A value,
+        # and S is read once per span.
+        per_span = bool(flat.all()) and _SPAN_COST * n_spans < len(axs)
+        if per_span:
+            self._points = _locate(sxs, edges[:-1], "right")
+            height = n_spans + 1
+        else:
+            self._points = _locate(sxs, t_sel, "right")
+            height = max(len(t_sel), len(axs))
+
+        self.arrival = arrival
+        self.i_arr = i_arr
+        self.thinned = thinned
+        self.per_span = per_span
+        self._t_sel = t_sel
+        self._edges = edges
+        self._t_limit = t_limit
+        self._service_xs = sxs
+        self._height = height
+        self._dx = np.diff(i_arr)
+        self._matrices: Optional[Tuple[np.ndarray, ...]] = None
+        kept = (n_spans if per_span else len(t_sel) + 3 * len(axs)) * len(i_arr)
+        if kept <= PLAN_MATRIX_ELEMENTS:
+            self._matrices = self._build(0, len(i_arr))
+
+    def _build(self, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+        """The matrices for the ``I`` columns ``lo:hi``: one candidate per
+        row, one ``I`` per column, so each column maximum runs over a few
+        long rows."""
+        axs, ays = self.arrival.xs, self.arrival.ys
+        cols = self.i_arr[None, lo:hi]
+        # Branch 1: A at every candidate t + I, evaluated inline (every
+        # point is >= 0, so ``__call__``'s negative-t clamp is a no-op).
+        pts = self._t_sel[:, None] + cols
+        a_vals = _values_at(self.arrival, _locate(axs, pts, "right"))
+        if self.per_span:
+            # The last arrival breakpoint with ax - I inside each span.
+            below = _count_below(axs, cols, self._edges[:, None])
+            hit = below[1:] > below[:-1]
+            np.maximum(
+                a_vals, np.where(hit, ays[below[1:] - 1], -math.inf), out=a_vals
+            )
+            return (a_vals,)
+        # Every arrival breakpoint with ax - I in [0, t_limit], and where
+        # ax - I falls on S.
+        t_mat = axs[:, None] - cols
+        valid = (t_mat >= 0.0) & (t_mat <= self._t_limit)
+        seg, offset = _locate(self._service_xs, t_mat, "right")
+        return (a_vals, np.where(valid, ays[:, None], -math.inf), seg, offset)
+
+    def apply(self, service: Curve) -> Curve:
+        """The output envelope against ``service``, which must have the
+        breakpoints and flat segments the plan was built from."""
+        s_at = _values_at(service, self._points)[:, None]
+        n = len(self.i_arr)
+        values = np.empty(n)
+        # Every temporary stays within the chunk budget, and a maximum is
+        # order-independent, so neither the layout nor the chunking can
+        # change a bit.
+        chunk = n if self._matrices is not None else max(
+            1, _CHUNK_ELEMENTS // self._height
+        )
+        for lo in range(0, n, chunk):
+            mats = self._matrices
+            if mats is None:
+                mats = self._build(lo, lo + chunk)
+            # Branch 1 (and branch 2, folded in per span).
+            best = np.max(mats[0] - s_at, axis=0)
+            if not self.per_span:
+                # Branch 2: A's jump at ax minus S at ax - I, with S
+                # evaluated inline as ``__call__`` does; -inf marks an
+                # ax - I outside [0, t_limit].
+                _, a_valid, seg, offset = mats
+                s_vals = _values_at(service, (seg, offset))
+                np.maximum(best, np.max(a_valid - s_vals, axis=0), out=best)
+            values[lo:lo + chunk] = best
+
+        # O is non-decreasing in I; enforce against numerical noise.
+        values = np.maximum.accumulate(values)
+        slopes = np.empty(n)
+        slopes[-1] = self.arrival.final_slope
+        if self.thinned:
+            # Linear interpolation between thinned samples could undercut
+            # the true (non-decreasing) function; a right-continuous
+            # staircase through the *next* sample dominates it everywhere.
+            ys = np.concatenate([values[1:], values[-1:]])
+            slopes[:-1] = 0.0
+            return Curve(self.i_arr, ys, slopes, validate=False).simplify()
+        # The curve through the samples, as ``Curve.from_breakpoints``
+        # builds it.  Its checks cannot fail here: the grid rises strictly
+        # from 0 and the values are non-decreasing.
+        slopes[:-1] = np.diff(values) / self._dx
+        return Curve(self.i_arr, values, slopes, validate=False).simplify()
+
+
+def deconvolve(
+    arrival: Curve,
+    service: Curve,
+    t_limit: float,
+    plans: "Optional[PlanCache]" = None,
+) -> Curve:
     """Output envelope ``O(I) = sup_{0 <= t <= t_limit} [A(t + I) - S(t)]``.
 
     ``t_limit`` should be the server's busy interval ``B`` (Theorem 1(4)
     restricts the supremum to the busy interval).  Past ``I_max =
     A.last_breakpoint + t_limit`` every ``A(t + I)`` is affine in ``I``,
     so the result continues there with ``A``'s final slope.
+
+    The work splits into a :class:`DeconvolutionPlan`, which reads only
+    ``S``'s breakpoints and flat segments, and its apply, which reads
+    ``S``'s values.  The plan is fresh, or the one ``plans`` keeps for
+    the same ``A``, breakpoints, flat segments and ``t_limit``; either
+    way the result is the same bit for bit.
 
     The supremum is evaluated on a grid of ``I`` values: ``0``, ``I_max``,
     ``A``'s breakpoints, and every difference ``ax - t`` of an arrival
@@ -275,11 +587,14 @@ def deconvolve(arrival: Curve, service: Curve, t_limit: float) -> Curve:
     reads only the right-most candidate ``t`` of each flat span.  Branch
     2, when every span is flat and spans are fewer than half the arrival
     breakpoints, reads only the last arrival breakpoint landing in each
-    span; otherwise scanning every breakpoint costs less.  Every span of
-    a timed-token staircase is flat up to its affine tail, also after
+    span; otherwise scanning every breakpoint costs less.  Both branches
+    then subtract the span's level from one ``A`` value per span, and
+    since a float subtraction of the same level is monotone, the plan
+    keeps the larger of the two.  Every span of a timed-token staircase
+    is flat up to its affine tail, also after
     ``Curve.coarsen(direction="lower")``.  The reduction holds bit for
     bit whenever ``A``'s own float evaluation is non-decreasing (checked
-    once per call), because every rounding step involved is monotone: the
+    once per plan), because every rounding step involved is monotone: the
     result is byte-identical to scanning every candidate.  Sloped spans
     (an affine tail, a rate-latency service), and every span when ``A``
     fails the check, scan all their candidates.
@@ -309,109 +624,64 @@ def deconvolve(arrival: Curve, service: Curve, t_limit: float) -> Curve:
     Together, ``result(I) >= O(I - d) - d * (A's steepest slope)``: the
     result lags the true envelope by at most ``d`` in time.
     """
-    if not math.isfinite(t_limit):
-        raise ValueError("deconvolution needs a finite busy interval")
-    t_limit = max(0.0, t_limit)
-    i_max = arrival.last_breakpoint + t_limit + EPS
-
-    # Candidate t values (within [0, t_limit]): breakpoints of S, and a
-    # nudge before each jump of S, where S is still at its left limit.
-    inner = service.xs[(service.xs > 0.0) & (service.xs < t_limit)]
-    nudge_src = np.concatenate([service.xs, [t_limit]])
-    nudge_src = nudge_src[(nudge_src > 0.0) & (nudge_src <= t_limit)]
-    nudged = np.maximum(0.0, nudge_src - 1e-9 * np.maximum(1.0, nudge_src))
-    t_base = np.unique(np.concatenate([[0.0, t_limit], inner, nudged]))
-
-    # Candidate I grid: pairwise differences ax - t, plus the arrival
-    # breakpoints themselves, clipped to (0, i_max).
-    diffs = (arrival.xs[:, None] - t_base[None, :]).ravel()
-    diffs = diffs[(diffs > 0.0) & (diffs < i_max)]
-    ax_inner = arrival.xs[(arrival.xs > 0.0) & (arrival.xs < i_max)]
-    i_arr = np.unique(np.concatenate([[0.0, float(i_max)], diffs, ax_inner]))
-    thinned = len(i_arr) > DECONVOLVE_MAX_CANDIDATES
-    if thinned:
-        # Thin the grid but always keep the endpoints.  With step > 1 the
-        # picks rise strictly from 0 and stay below the last index.
-        step = len(i_arr) / float(DECONVOLVE_MAX_CANDIDATES)
-        picks = (np.arange(DECONVOLVE_MAX_CANDIDATES) * step).astype(np.intp)
-        i_arr = i_arr[np.append(picks, len(i_arr) - 1)]
-
-    axs, ays, aslopes = arrival.xs, arrival.ys, arrival.slopes
-    sxs, sys_, sslopes = service.xs, service.ys, service.slopes
-    # Spans of S meeting [0, t_limit]: span j holds the t that S evaluates
-    # on its segment j, i.e. [edges[j], edges[j + 1]).  The top edge is the
-    # float after t_limit, so the last span is closed at t_limit.
-    n_spans = max(1, int(np.searchsorted(sxs, t_limit, side="right")))
-    edges = np.concatenate(
-        [[0.0], sxs[1:n_spans], [np.nextafter(t_limit, math.inf)]]
-    )
-    levels = service(edges[:-1])
-    # A's float evaluation is non-decreasing iff no segment's rounded
-    # left limit exceeds the next breakpoint's value.
-    a_left = ays[:-1] + aslopes[:-1] * (axs[1:] - axs[:-1])
-    monotone = bool(np.all(aslopes >= 0.0) and np.all(a_left <= ays[1:]))
-    # reprolint: disable=RL003 -- only an exactly zero slope keeps S's value bit-identical across a span
-    flat = (sslopes[:n_spans] == 0.0) & monotone
-
-    # Branch 1 candidates: the right-most t of each flat span, every t of
-    # a sloped one.
-    t_span = np.searchsorted(sxs, t_base, side="right") - 1
-    np.maximum(t_span, 0, out=t_span)
-    last = np.append(t_span[1:] != t_span[:-1], True)
-    t_sel = t_base[last | ~flat[t_span]]
-    s_sel = service(t_sel)
-    # Branch 2 reads one breakpoint per span when every span is flat and
-    # counting them is cheaper than scanning every arrival breakpoint.
-    per_span = bool(flat.all()) and _SPAN_COST * n_spans < len(axs)
-
-    # Matrices hold one candidate per row and one I per column, so each
-    # column maximum runs over a few long rows.  Every temporary stays
-    # within the chunk budget, and a maximum is order-independent, so
-    # neither the layout nor the chunking can change a bit.
-    height = max(len(t_sel), n_spans + 1 if per_span else len(axs))
-    chunk = max(1, _CHUNK_ELEMENTS // height)
-    values = np.empty(len(i_arr))
-    for lo in range(0, len(i_arr), chunk):
-        cols = i_arr[None, lo:lo + chunk]
-        # Branch 1, with A evaluated inline (every point is >= 0, so
-        # ``__call__``'s negative-t clamp is a no-op).
-        pts = t_sel[:, None] + cols
-        idx = np.searchsorted(axs, pts, side="right") - 1
-        np.maximum(idx, 0, out=idx)
-        a_vals = ays[idx] + aslopes[idx] * (pts - axs[idx])
-        best = np.max(a_vals - s_sel[:, None], axis=0)
-        if per_span:
-            # The last arrival breakpoint with ax - I inside each span.
-            below = _count_below(axs, cols, edges[:, None])
-            hit = below[1:] > below[:-1]
-            cands = np.where(hit, ays[below[1:] - 1] - levels[:, None], -math.inf)
-        else:
-            # Every arrival breakpoint with ax - I in [0, t_limit], with S
-            # evaluated inline as ``__call__`` does.
-            t_mat = axs[:, None] - cols
-            t_idx = np.searchsorted(sxs, t_mat, side="right") - 1
-            np.maximum(t_idx, 0, out=t_idx)
-            s_vals = sys_[t_idx] + sslopes[t_idx] * (t_mat - sxs[t_idx])
-            valid = (t_mat >= 0.0) & (t_mat <= t_limit)
-            cands = np.where(valid, ays[:, None] - s_vals, -math.inf)
-        np.maximum(best, np.max(cands, axis=0), out=best)
-        values[lo:lo + chunk] = best
-
-    # O is non-decreasing in I; enforce against numerical noise.
-    values = np.maximum.accumulate(values)
-
-    if thinned:
-        # Linear interpolation between thinned samples could undercut the
-        # true (non-decreasing) function; a right-continuous staircase
-        # through the *next* sample dominates it everywhere.
-        ys = np.concatenate([values[1:], values[-1:]])
-        slopes = np.concatenate(
-            [np.zeros(len(i_arr) - 1), [arrival.final_slope]]
+    if plans is None:
+        plan = DeconvolutionPlan(
+            arrival, service.xs, _flat_segments(service), t_limit
         )
-        return Curve(i_arr, ys, slopes, validate=False).simplify()
+    else:
+        plan = plans.deconvolution(arrival, service, t_limit)
+    return plan.apply(service)
 
-    out = Curve.from_breakpoints(i_arr, values, final_slope=arrival.final_slope)
-    return out.simplify()
+
+class PlanCache:
+    """The last few :class:`GridPlan` and :class:`DeconvolutionPlan` objects.
+
+    The probes of one admission decision rerun Theorem 1 on the same
+    arrival with another allocation ``H``; the staircase's breakpoints,
+    its flat segments and (often) the busy interval repeat, so the plans
+    do.  A grid plan is keyed by ``A``'s fingerprint and ``S``'s
+    breakpoints, a deconvolution plan also by ``S``'s flat segments and
+    ``t_limit``: keying on breakpoints rather than server parameters
+    covers coarsened staircases and 802.5 rings alike.  Each kind keeps
+    :data:`PLAN_CACHE_SIZE` plans.
+    """
+
+    __slots__ = ("_grids", "_deconvolutions")
+
+    def __init__(self) -> None:
+        self._grids = LRUCache(PLAN_CACHE_SIZE)
+        self._deconvolutions = LRUCache(PLAN_CACHE_SIZE)
+
+    def grid(self, arrival: Curve, service: Curve) -> GridPlan:
+        key = (arrival.fingerprint(), service.xs.tobytes())
+        plan = self._grids.get(key)
+        if plan is None:
+            plan = GridPlan(arrival, service.xs)
+            self._grids.put(key, plan)
+        return plan
+
+    def deconvolution(
+        self, arrival: Curve, service: Curve, t_limit: float
+    ) -> DeconvolutionPlan:
+        flat = _flat_segments(service)
+        key = (arrival.fingerprint(), service.xs.tobytes(), flat.tobytes(), t_limit)
+        plan = self._deconvolutions.get(key)
+        if plan is None:
+            plan = DeconvolutionPlan(arrival, service.xs, flat, t_limit)
+            self._deconvolutions.put(key, plan)
+        return plan
+
+    def stats(self) -> Dict[str, float]:
+        """Hits, misses, evictions and size over both kinds of plan."""
+        grids = self._grids.stats()
+        deconvolutions = self._deconvolutions.stats()
+        out = {
+            field: grids[field] + deconvolutions[field]
+            for field in ("size", "maxsize", "hits", "misses", "evictions")
+        }
+        lookups = out["hits"] + out["misses"]
+        out["hit_rate"] = out["hits"] / lookups if lookups else 0.0
+        return out
 
 
 def _count_below(axs: np.ndarray, cols: np.ndarray, edges: np.ndarray) -> np.ndarray:

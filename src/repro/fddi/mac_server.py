@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.envelopes.curve import Curve
 from repro.envelopes.operations import (
     FifoBounds,
+    PlanCache,
     deconvolve,
     horizontal_deviation,
 )
@@ -65,6 +66,10 @@ def theorem1(
     ``allocation`` is the station's transmission time per token visit and
     ``rotation`` the bound on the time between visits (TTRT, or an 802.5
     token cycle); ``server.availability`` is the staircase they define.
+    The grid and deconvolution plans come from ``server.plans`` when it
+    is set, so a later call on the same arrival with another allocation
+    reads only the staircase's values; the result is the same bit for
+    bit.
     """
     name = server.name
     if allocation == 0.0:
@@ -85,7 +90,7 @@ def theorem1(
     n_steps = 32
     while True:
         avail = server.availability(n_steps)
-        bounds = FifoBounds(arrival, avail)
+        bounds = FifoBounds(arrival, avail, server.plans)
         b = bounds.busy
         if math.isinf(b):
             raise UnstableSystemError(wording.unbounded_busy.format(name=name))
@@ -105,7 +110,9 @@ def theorem1(
         raise UnstableSystemError(wording.unbounded_delay.format(name=name))
 
     # Theorem 1(4): output envelope, capped at the ring rate.
-    output = deconvolve(arrival, avail, t_limit=b).cap(server.bandwidth)
+    output = deconvolve(arrival, avail, t_limit=b, plans=server.plans).cap(
+        server.bandwidth
+    )
     return ServerAnalysis(
         delay_bound=delay,
         output=output,
@@ -146,13 +153,20 @@ class FDDIMacServer(DedicatedServer):
         :class:`BufferOverflowError` so the condition cannot be ignored.
     max_steps:
         Cap on the number of exact staircase steps used before the
-        conservative affine tail takes over.
+        conservative affine tail takes over.  The first horizon is always
+        32 steps, and the horizon grows (by 4x, up to ``max_steps``) only
+        while the busy interval runs past it, so a ``max_steps`` below 32
+        caps nothing: ``max_steps=8`` analyzes on a 32-step staircase.
     service_segments:
         Optional segment cap on the availability staircase
         (``AnalysisConfig.coarsen_segments``).  Coarsening a *service*
         curve must round it **down** (``Curve.coarsen(direction="lower")``)
         so the analyzed service never exceeds the guaranteed one and every
         bound stays conservative.  ``None`` (default) = exact staircase.
+    plans:
+        Theorem-1 plans shared by the servers of one analyzer (see
+        :func:`theorem1`); ``None`` (default) builds fresh plans on every
+        call.  Results are the same bit for bit either way.
     """
 
     def __init__(
@@ -164,6 +178,7 @@ class FDDIMacServer(DedicatedServer):
         name: str = "fddi-mac",
         max_steps: int = 4096,
         service_segments: "int | None" = None,
+        plans: "PlanCache | None" = None,
     ) -> None:
         if sync_time < 0:
             raise ConfigurationError("synchronous allocation must be non-negative")
@@ -180,6 +195,7 @@ class FDDIMacServer(DedicatedServer):
         self.name = name
         self.max_steps = int(max_steps)
         self.service_segments = service_segments
+        self.plans = plans
 
     # ------------------------------------------------------------------
 

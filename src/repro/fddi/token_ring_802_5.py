@@ -29,6 +29,7 @@ import math
 from typing import Sequence
 
 from repro.envelopes.curve import Curve
+from repro.envelopes.operations import PlanCache
 from repro.envelopes.staircase import timed_token_staircase
 from repro.errors import ConfigurationError
 from repro.fddi.mac_server import Theorem1Wording, theorem1
@@ -60,6 +61,13 @@ class TokenRing8025MacServer(DedicatedServer):
         Ring transmission rate, bits/second (4 or 16 Mbps classically).
     buffer_bits:
         Transmit buffer (``inf`` = unbounded).
+    max_steps:
+        Cap on the number of exact staircase steps, as for
+        :class:`~repro.fddi.mac_server.FDDIMacServer`: the first horizon
+        is always 32 steps, so a value below 32 caps nothing.
+    plans:
+        Shared Theorem-1 plans, as for
+        :class:`~repro.fddi.mac_server.FDDIMacServer`.
     """
 
     def __init__(
@@ -70,6 +78,7 @@ class TokenRing8025MacServer(DedicatedServer):
         buffer_bits: float = math.inf,
         name: str = "802.5-mac",
         max_steps: int = 4096,
+        plans: "PlanCache | None" = None,
     ) -> None:
         if holding_time < 0:
             raise ConfigurationError("holding time must be non-negative")
@@ -85,6 +94,7 @@ class TokenRing8025MacServer(DedicatedServer):
         self.buffer_bits = float(buffer_bits)
         self.name = name
         self.max_steps = int(max_steps)
+        self.plans = plans
 
     @classmethod
     def for_ring(
