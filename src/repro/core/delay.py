@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.config import AnalysisConfig, NetworkConfig
 from repro.envelopes.curve import Curve, sum_curves
@@ -47,7 +47,7 @@ from repro.errors import CyclicDependencyError, FixedPointDivergenceError
 from repro.fddi.mac_server import FDDIMacServer
 from repro.interface_device.cell_frame import CellFrameConversionServer
 from repro.interface_device.frame_cell import FrameCellConversionServer
-from repro.lru import LRUCache
+from repro.lru import IdMemo, Interner, LRUCache
 from repro.network.connection import ConnectionSpec
 from repro.network.routing import Route
 from repro.network.topology import NetworkTopology
@@ -56,7 +56,7 @@ from repro.atm.output_port import OutputPortServer
 from repro.servers.base import DedicatedServer
 from repro.servers.constant import ConstantDelayServer
 
-#: Entry budget of each of the analyzer's LRU caches.
+#: Entry budget of each of the analyzer's LRU caches and intern tables.
 STAGE_CACHE_SIZE = 20_000
 #: Fixed-point convergence tolerance, used only when
 #: ``output_delay_quantum`` is 0 (shifts are then continuous, so exact
@@ -79,6 +79,40 @@ class SharedStage:
 
 
 Stage = Union[DedicatedStage, SharedStage]
+
+
+class _Run(NamedTuple):
+    """One maximal run of dedicated stages, ``stages[start:end]``."""
+
+    end: int
+    #: Interned id of the run's server cache keys: the segment-cache key.
+    run_id: int
+    #: The run's stage names, for the hop lists.
+    names: Tuple[str, ...]
+
+
+class _Chain(NamedTuple):
+    """A connection's server chain, ready for propagation."""
+
+    stages: Sequence[Stage]
+    #: Index of each run's first stage -> the run.
+    runs: Dict[int, _Run]
+    #: Names of the shared-port stages, in chain order.
+    ports: Tuple[str, ...]
+
+
+class _Skeleton(NamedTuple):
+    """A chain with its allocation-dependent stages still open.
+
+    ``chain`` holds the stages of the load it was built from; ``macs``
+    lists ``(stage index, run start)`` of each FDDI MAC stage, source
+    first.  A MAC run's ``run_id`` is the id of its server keys with the
+    MAC's key left out, and a chain built from the skeleton interns it
+    together with its own MAC's key.
+    """
+
+    chain: _Chain
+    macs: Tuple[Tuple[int, int], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,13 +238,19 @@ class DelayAnalyzer:
         #: (fingerprints, simplify/coarsen) even when every stage hits the
         #: stage cache.
         self._segment_cache = LRUCache(STAGE_CACHE_SIZE)
-        #: Cache of built server chains keyed by everything the chain
-        #: depends on (route, grants, regulator, topology version) — the
-        #: chain does *not* depend on the traffic descriptor, so this key
-        #: is always hashable.  Holding the chain also keeps the segment
-        #: run structure (precomputed server keys) from being rebuilt on
-        #: every probe.
-        self._chain_cache = LRUCache(STAGE_CACHE_SIZE)
+        #: Chain skeletons keyed by what the chain depends on apart from
+        #: the two MAC allocations: route, regulator, the frame sizes the
+        #: frame-cell and cell-frame servers read (they saturate at
+        #: ``max_frame_bits`` for most allocations) and the topology
+        #: version.  A probe copies its skeleton and builds only its two
+        #: MAC stages.
+        self._skeletons = LRUCache(STAGE_CACHE_SIZE)
+        #: ConnectionLoad -> (topology version, chain): standing loads
+        #: persist across probes, so each builds its chain once.
+        self._chain_memo = IdMemo()
+        #: Dedicated runs' server-key tuples interned to ints, so the
+        #: segment cache hashes ``(run id, fingerprint)``.
+        self._run_ids = Interner(STAGE_CACHE_SIZE)
         #: Theorem-1 plans shared by every MAC server this analyzer
         #: builds: the probes of one decision rerun Theorem 1 on the same
         #: arrival with another allocation.
@@ -222,7 +262,7 @@ class DelayAnalyzer:
             "stage": self._stage_cache.stats(),
             "envelope": self._envelope_cache.stats(),
             "segment": self._segment_cache.stats(),
-            "chain": self._chain_cache.stats(),
+            "chain": self._skeletons.stats(),
             "plan": self._plans.stats(),
         }
 
@@ -238,22 +278,10 @@ class DelayAnalyzer:
     def build_stages(self, load: ConnectionLoad) -> List[Stage]:
         """The ordered server chain for one connection."""
         topo = self.topology
-        cfg = self.network_config
         route = load.route
         ring_s = topo.rings[route.source_ring]
         stages: List[Stage] = [
-            DedicatedStage(
-                f"fddi-mac:{route.source_ring}:{load.spec.conn_id}",
-                FDDIMacServer(
-                    load.h_source,
-                    ring_s.ttrt,
-                    ring_s.bandwidth,
-                    buffer_bits=cfg.mac_buffer_bits,
-                    name=f"mac-src:{load.spec.conn_id}",
-                    service_segments=self.analysis.coarsen_segments,
-                    plans=self._plans,
-                ),
-            ),
+            self._mac_stage(load, source=True),
             DedicatedStage(
                 f"delay-line:{route.source_ring}",
                 ConstantDelayServer(ring_s.propagation_delay, name="delay-line-src"),
@@ -330,18 +358,7 @@ class DelayAnalyzer:
                 ),
             ),
             DedicatedStage(f"{dst_dev.device_id}:frame-switch", dst_dev.frame_switch_server()),
-            DedicatedStage(
-                f"fddi-mac:{route.dest_ring}:{load.spec.conn_id}",
-                FDDIMacServer(
-                    load.h_dest,
-                    ring_r.ttrt,
-                    ring_r.bandwidth,
-                    buffer_bits=cfg.mac_buffer_bits,
-                    name=f"mac-dst:{load.spec.conn_id}",
-                    service_segments=self.analysis.coarsen_segments,
-                    plans=self._plans,
-                ),
-            ),
+            self._mac_stage(load, source=False),
             DedicatedStage(
                 f"delay-line:{route.dest_ring}",
                 ConstantDelayServer(ring_r.propagation_delay, name="delay-line-dst"),
@@ -349,16 +366,53 @@ class DelayAnalyzer:
         ]
         return stages
 
-    def _chain_for(self, load: ConnectionLoad) -> Tuple[List[Stage], Dict[int, tuple]]:
-        """The (cached) server chain for ``load`` plus its segment runs.
+    def _mac_stage(self, load: ConnectionLoad, source: bool) -> DedicatedStage:
+        """The source (or destination) FDDI MAC stage of ``load``."""
+        route = load.route
+        ring_id = route.source_ring if source else route.dest_ring
+        ring = self.topology.rings[ring_id]
+        conn_id = load.spec.conn_id
+        return DedicatedStage(
+            f"fddi-mac:{ring_id}:{conn_id}",
+            FDDIMacServer(
+                load.h_source if source else load.h_dest,
+                ring.ttrt,
+                ring.bandwidth,
+                buffer_bits=self.network_config.mac_buffer_bits,
+                name=f"mac-{'src' if source else 'dst'}:{conn_id}",
+                service_segments=self.analysis.coarsen_segments,
+                plans=self._plans,
+            ),
+        )
 
-        ``runs`` maps the index of each maximal dedicated run's first stage
-        to ``(end_index, seg_keys)``, where ``seg_keys`` is the tuple of the
-        run's server cache keys.  Servers are stateless analyzers, so
-        reusing the chain across computations is safe; the topology version
-        in the key retires chains built against a network that has since
+    def _chain_for(self, load: ConnectionLoad) -> _Chain:
+        """The server chain of ``load`` with its runs and shared ports.
+
+        A load seen before under the same topology version gets its
+        memoized chain.  Otherwise the chain is its skeleton's stages with
+        the two MAC stages built for its allocations.  Servers are
+        stateless analyzers, so chains are shared freely; the topology
+        version retires chains built against a network that has since
         mutated.
         """
+        version = self.topology.change_count
+        memo = self._chain_memo.get(load)
+        if memo is not None and memo[0] == version:
+            return memo[1]
+        skeleton = self._skeleton_for(load, version)
+        stages = list(skeleton.chain.stages)
+        runs = dict(skeleton.chain.runs)
+        for k, (index, start) in enumerate(skeleton.macs):
+            stage = self._mac_stage(load, source=k == 0)
+            stages[index] = stage
+            run = runs[start]
+            run_id = self._run_ids((run.run_id, stage.server.cache_key()))
+            runs[start] = run._replace(run_id=run_id)
+        chain = _Chain(stages, runs, skeleton.chain.ports)
+        self._chain_memo.put(load, (version, chain))
+        return chain
+
+    def _skeleton_for(self, load: ConnectionLoad, version: int) -> _Skeleton:
         route = load.route
         reg = load.regulator
         key = (
@@ -368,31 +422,48 @@ class DelayAnalyzer:
             route.source_device,
             route.dest_device,
             tuple(route.switch_path),
-            float(load.h_source),
-            float(load.h_dest),
             None if reg is None else (reg.sigma, reg.rho, reg.peak),
-            self.topology.change_count,
+            self.frame_bits_for(load.h_source),
+            self.frame_bits_for(load.h_dest),
+            version,
         )
-        hit = self._chain_cache.get(key)
-        if hit is not None:
-            return hit
+        skeleton = self._skeletons.get(key)
+        if skeleton is not None:
+            return skeleton
         stages = self.build_stages(load)
-        runs: Dict[int, tuple] = {}
+        runs: Dict[int, _Run] = {}
+        macs: List[Tuple[int, int]] = []
+        ports: List[str] = []
         i, n = 0, len(stages)
         while i < n:
-            if isinstance(stages[i], DedicatedStage):
-                j = i
-                seg_keys = []
-                while j < n and isinstance(stages[j], DedicatedStage):
-                    seg_keys.append(stages[j].server.cache_key())
-                    j += 1
-                runs[i] = (j, tuple(seg_keys))
-                i = j
-            else:
+            stage = stages[i]
+            if isinstance(stage, SharedStage):
+                ports.append(stage.port.name)
                 i += 1
-        value = (stages, runs)
-        self._chain_cache.put(key, value)
-        return value
+                continue
+            j = i
+            seg_keys: List[Optional[tuple]] = []
+            while j < n and isinstance(stages[j], DedicatedStage):
+                server = stages[j].server
+                if isinstance(server, FDDIMacServer):
+                    # Allocation-dependent: _chain_for builds it per load
+                    # and interns its key together with this run's id.
+                    macs.append((j, i))
+                    seg_keys.append(None)
+                else:
+                    seg_keys.append(server.cache_key())
+                j += 1
+            # A key here is a tuple of server keys and Nones; a MAC run's
+            # key in _chain_for starts with an int, so the two never meet.
+            runs[i] = _Run(
+                j,
+                self._run_ids(tuple(seg_keys)),
+                tuple(s.name for s in stages[i:j]),
+            )
+            i = j
+        skeleton = _Skeleton(_Chain(stages, runs, tuple(ports)), tuple(macs))
+        self._skeletons.put(key, skeleton)
+        return skeleton
 
     # ------------------------------------------------------------------
     # Envelope propagation
@@ -444,17 +515,13 @@ class DelayAnalyzer:
         bounds and the final (tidied) output envelope are fully determined,
         so a repeat probe replays them from the segment cache in O(1)
         instead of re-walking every stage.  Stage *names* are taken from
-        the live stages, so connections that share server behaviour still
+        the chain's run, so connections that share server behaviour still
         report their own hop labels.
         """
-        stages = st.stages
-        start = st.idx
-        run = st.runs.get(start)
+        run = st.chain.runs.get(st.idx)
         if run is None:
             return False
-        end, seg_keys = run
-        seg = stages[start:end]
-        key = (seg_keys, st.envelope.fingerprint())
+        key = (run.run_id, st.envelope.fingerprint())
         hit = self._segment_cache.get(key)
         if hit is not None:
             delays, backlogs, env = hit
@@ -462,18 +529,18 @@ class DelayAnalyzer:
             delays = []
             backlogs = []
             env = st.envelope
-            for stage in seg:
+            for stage in st.chain.stages[st.idx : run.end]:
                 result = self._analyze_dedicated(stage.server, env)
                 delays.append(result.delay_bound)
                 backlogs.append(result.backlog_bound)
                 env = self._tidy(result.output)
             self._segment_cache.put(key, (tuple(delays), tuple(backlogs), env))
-        for stage, d, b in zip(seg, delays, backlogs):
+        for d in delays:
             st.total += d
-            st.hops.append((stage.name, d))
-            st.hop_backlogs.append((stage.name, b))
+        st.hops.extend(zip(run.names, delays))
+        st.hop_backlogs.extend(zip(run.names, backlogs))
         st.envelope = env
-        st.idx = end
+        st.idx = run.end
         return True
 
     def _analyze_port(self, port: OutputPortServer, envelopes: Dict[int, Curve]):
@@ -559,23 +626,19 @@ class DelayAnalyzer:
     ) -> Tuple[Dict[str, DelayReport], ResourceUsage]:
         """Like :meth:`compute`, also returning per-resource usage figures
         (port backlogs/busy intervals) needed for buffer dimensioning."""
-        states = []
-        for load in loads:
-            stages, runs = self._chain_for(load)
-            states.append(
-                _ConnState(
-                    load=load,
-                    stages=stages,
-                    runs=runs,
-                    envelope=self.source_envelope(load.spec),
-                )
+        states = [
+            _ConnState(
+                load=load,
+                chain=self._chain_for(load),
+                envelope=self.source_envelope(load.spec),
             )
+            for load in loads
+        ]
         # Which connections traverse each shared port?
         traversers: Dict[str, List[_ConnState]] = {}
         for st in states:
-            for stage in st.stages:
-                if isinstance(stage, SharedStage):
-                    traversers.setdefault(stage.port.name, []).append(st)
+            for name in st.chain.ports:
+                traversers.setdefault(name, []).append(st)
 
         port_backlogs: Dict[str, float] = {}
         port_busy: Dict[str, float] = {}
@@ -594,8 +657,9 @@ class DelayAnalyzer:
         def _land(st: "_ConnState") -> None:
             nonlocal remaining
             self._advance_dedicated(st)
-            if st.idx < len(st.stages):
-                name = st.stages[st.idx].port.name
+            stages = st.chain.stages
+            if st.idx < len(stages):
+                name = stages[st.idx].port.name
                 count = landed.get(name, 0) + 1
                 landed[name] = count
                 if count == len(traversers[name]):
@@ -612,7 +676,7 @@ class DelayAnalyzer:
         while ready:
             port_name = ready.pop()
             group = traversers[port_name]
-            stage = group[0].stages[group[0].idx]
+            stage = group[0].chain.stages[group[0].idx]
             envelopes = {id(g): g.envelope for g in group}
             delay, backlog, busy, _, outputs = self._analyze_port_cached(
                 stage.port, envelopes
@@ -695,10 +759,10 @@ class DelayAnalyzer:
         climb the lattice and either repeat (converged) or exceed the
         iteration cap (:class:`FixedPointDivergenceError`; no stable bound).
         """
-        stuck = [st for st in states if st.idx < len(st.stages)]
+        stuck = [st for st in states if st.idx < len(st.chain.stages)]
         ports: Dict[str, OutputPortServer] = {}
         for st in stuck:
-            for stage in st.stages[st.idx :]:
+            for stage in st.chain.stages[st.idx :]:
                 if isinstance(stage, SharedStage):
                     ports[stage.name] = stage.port
         if not ports:
@@ -715,13 +779,13 @@ class DelayAnalyzer:
             for st in stuck:
                 walker = _ConnState(
                     load=st.load,
-                    stages=st.stages,
-                    runs=st.runs,
+                    chain=st.chain,
                     envelope=st.envelope,
                     idx=st.idx,
                 )
-                while walker.idx < len(walker.stages):
-                    stage = walker.stages[walker.idx]
+                stages = st.chain.stages
+                while walker.idx < len(stages):
+                    stage = stages[walker.idx]
                     if isinstance(stage, DedicatedStage):
                         self._advance_dedicated(walker)
                     else:
@@ -753,8 +817,9 @@ class DelayAnalyzer:
         # under exactly the shifts the ports' analyses returned.  Replay the
         # converged propagation into the real states and the usage maps.
         for st in stuck:
-            while st.idx < len(st.stages):
-                stage = st.stages[st.idx]
+            stages = st.chain.stages
+            while st.idx < len(stages):
+                stage = stages[st.idx]
                 if isinstance(stage, DedicatedStage):
                     self._advance_dedicated(st)
                 else:
@@ -776,8 +841,7 @@ class DelayAnalyzer:
 @dataclasses.dataclass
 class _ConnState:
     load: ConnectionLoad
-    stages: List[Stage]
-    runs: Dict[int, tuple]
+    chain: _Chain
     envelope: Curve
     idx: int = 0
     total: float = 0.0

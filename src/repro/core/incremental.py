@@ -30,16 +30,16 @@ Falls back to a full recomputation when:
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.delay import (
+    STAGE_CACHE_SIZE,
     ConnectionLoad,
     DelayAnalyzer,
     DelayReport,
     route_port_names,
 )
-from repro.lru import LRUCache
+from repro.lru import IdMemo, Interner, LRUCache
 
 
 class IncrementalDelayEngine:
@@ -47,23 +47,25 @@ class IncrementalDelayEngine:
 
     def __init__(self, analyzer: DelayAnalyzer) -> None:
         self.analyzer = analyzer
-        #: load key -> DelayReport from the last successful computation.
-        self._reports: Dict[tuple, DelayReport] = {}
-        #: load key -> shared-port footprint it was computed under.
-        self._ports_of: Dict[tuple, Tuple[str, ...]] = {}
-        #: Load keys of the last committed computation.  Dirty detection
+        #: Load keys are interned to ints (:meth:`load_key` gives the
+        #: tuple), so the snapshot's dicts and sets hash one int per load.
+        #: Ids are never reused: an evicted key costs a recomputation.
+        self._key_ids = Interner(STAGE_CACHE_SIZE)
+        #: load key id -> DelayReport from the last successful computation.
+        self._reports: Dict[int, DelayReport] = {}
+        #: load key id -> shared-port footprint it was computed under.
+        self._ports_of: Dict[int, Tuple[str, ...]] = {}
+        #: Load key ids of the last committed computation.  Dirty detection
         #: diffs the current key set against this one: a load's key covers
         #: everything that can change its analysis, so membership changes
         #: at a port are exactly the added/removed keys that traverse it.
         self._prev_keys: frozenset = frozenset()
-        #: id(load) -> (weakref, key, ports): the controller keeps one
+        #: ConnectionLoad -> (key id, ports): the controller keeps one
         #: ConnectionLoad object per active connection, so key and port
-        #: footprint are computed once per object (the weakref guards id
-        #: reuse).
-        self._load_memo: Dict[int, tuple] = {}
-        #: Traffic descriptors interned to small ints so load keys hash
-        #: cheaply in the hot dict lookups.
-        self._traffic_ids: Dict[object, int] = {}
+        #: footprint are computed once per object.
+        self._load_memo = IdMemo()
+        #: Traffic descriptors interned to ints so load keys hash cheaply.
+        self._traffic_ids = Interner(STAGE_CACHE_SIZE)
         #: port-footprint tuple -> (component roots, port -> root map).
         self._partition_cache = LRUCache(1024)
         self._topo_version = analyzer.topology.change_count
@@ -80,12 +82,9 @@ class IncrementalDelayEngine:
         source envelope; ``None`` when no hashable key can be formed."""
         spec = load.spec
         try:
-            traffic_id = self._traffic_ids.get(spec.traffic)
+            traffic_id = self._traffic_ids(spec.traffic)
         except TypeError:
             return None
-        if traffic_id is None:
-            traffic_id = len(self._traffic_ids)
-            self._traffic_ids[spec.traffic] = traffic_id
         route = load.route
         reg = load.regulator
         return (
@@ -103,26 +102,22 @@ class IncrementalDelayEngine:
 
     def _key_and_ports(
         self, load: ConnectionLoad
-    ) -> Tuple[Optional[tuple], Optional[Tuple[str, ...]]]:
-        memo = self._load_memo.get(id(load))
-        if memo is not None and memo[0]() is load:
-            return memo[1], memo[2]
+    ) -> Tuple[Optional[int], Optional[Tuple[str, ...]]]:
+        """The interned key and the port footprint of ``load`` (both
+        ``None`` when no key can be formed)."""
+        memo = self._load_memo.get(load)
+        if memo is not None:
+            return memo
         key = self.load_key(load)
-        ports = (
-            route_port_names(self.analyzer.topology, load.route)
-            if key is not None
-            else None
-        )
-        try:
-            ref = weakref.ref(load)
-        except TypeError:
-            return key, ports
-        self._load_memo[id(load)] = (ref, key, ports)
-        if len(self._load_memo) > 8192:
-            self._load_memo = {
-                i: m for i, m in self._load_memo.items() if m[0]() is not None
-            }
-        return key, ports
+        if key is None:
+            memo = (None, None)
+        else:
+            memo = (
+                self._key_ids(key),
+                route_port_names(self.analyzer.topology, load.route),
+            )
+        self._load_memo.put(load, memo)
+        return memo
 
     def invalidate(self) -> None:
         """Drop every cached fixed point (next computation runs full)."""
@@ -211,8 +206,8 @@ class IncrementalDelayEngine:
         self.n_loads_reused += len(clean)
 
         # Commit: replace the snapshot with exactly the current load set.
-        new_reports: Dict[tuple, DelayReport] = {}
-        new_ports_of: Dict[tuple, Tuple[str, ...]] = {}
+        new_reports: Dict[int, DelayReport] = {}
+        new_ports_of: Dict[int, Tuple[str, ...]] = {}
         result: Dict[str, DelayReport] = {}
         for i in clean:
             report = self._reports[keys[i]]

@@ -49,7 +49,7 @@ class Curve:
     Instances are immutable; all operations return new curves.
     """
 
-    __slots__ = ("xs", "ys", "slopes", "_lists", "_fingerprint")
+    __slots__ = ("xs", "ys", "slopes", "_lists", "_fingerprint", "_simplified_tol")
 
     def __init__(
         self,
@@ -89,6 +89,8 @@ class Curve:
         # for single points, and intermediate curves never pay for it).
         self._lists = None
         self._fingerprint = None
+        # The largest ``tol`` at which ``simplify`` returned this curve.
+        self._simplified_tol = -math.inf
 
     def _as_lists(self) -> Tuple[List[float], List[float], List[float]]:
         lists = self._lists
@@ -436,8 +438,13 @@ class Curve:
         A breakpoint is dropped when it sits exactly on its predecessor's
         line with the same slope; collinearity is transitive along a chain,
         so the pairwise vectorized test matches the sequential sweep.
+
+        A curve remembers the largest ``tol`` at which it came back
+        unchanged and returns itself at once for any ``tol`` at or below
+        it: both tests only tighten as ``tol`` falls, so that answer is
+        exact.
         """
-        if len(self.xs) <= 1:
+        if len(self.xs) <= 1 or tol <= self._simplified_tol:
             return self
         dx = np.diff(self.xs)
         pred_y = self.ys[:-1] + self.slopes[:-1] * dx
@@ -450,6 +457,7 @@ class Curve:
         )
         keep = np.concatenate([[True], ~same])
         if keep.all():
+            self._simplified_tol = tol
             return self
         return Curve(
             self.xs[keep], self.ys[keep], self.slopes[keep], validate=False

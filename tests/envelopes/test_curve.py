@@ -257,6 +257,32 @@ class TestSimplify:
         s = c.simplify()
         assert len(s.xs) == 2
 
+    def test_repeat_simplify_is_remembered(self, monkeypatch):
+        """A curve that came back unchanged at ``tol`` answers any
+        ``tol`` at or below it without array work, and the answer is the
+        one a fresh ``simplify`` gives, bit for bit."""
+        import repro.envelopes.curve as curve_module
+
+        # Nearly collinear: merged at a loose tolerance only.
+        xs = [0.0, 1.0, 2.0, 3.0]
+        ys = [0.0, 1.0 + 1e-7, 2.0, 3.0 + 1e-7]
+        slopes = [1.0, 1.0, 1.0, 0.5]
+        c = Curve(xs, ys, slopes)
+        assert c.simplify(1e-9) is c
+        fresh = {
+            tol: Curve(xs, ys, slopes).simplify(tol) for tol in (1e-9, 1e-12, 0.0, 1e-3)
+        }
+        monkeypatch.setattr(curve_module, "np", None)  # any array work fails
+        for tol in (1e-9, 1e-12, 0.0):
+            assert c.simplify(tol) is c
+        monkeypatch.undo()
+        for tol, expected in fresh.items():
+            got = c.simplify(tol)
+            for a, b in ((got.xs, expected.xs), (got.ys, expected.ys), (got.slopes, expected.slopes)):
+                assert a.tobytes() == b.tobytes()
+        # A looser tolerance still does the work, and merges.
+        assert len(c.simplify(1e-3).xs) == 2
+
     def test_coarsen_returns_dominating_curve(self):
         xs = [float(k) for k in range(20)]
         ys = [float(k * k) for k in range(20)]
