@@ -9,7 +9,10 @@ Upon a request, the controller:
 3. binary-searches the allocation segment for the minimum needed allocation
    ``(H^min_need)`` (Step 3) and the maximum useful allocation
    ``(H^max_need)`` — the smallest point whose delays already equal those at
-   the maximum available allocation (Eqs. 31-33, Step 4);
+   the maximum available allocation (Eqs. 31-33, Step 4).  Feasibility is
+   not monotone along the segment (more ``H_S`` can pass larger bursts to
+   the destination MAC), so a search finds a feasible point next to an
+   infeasible one, not always the smallest feasible point;
 4. grants ``H = H^min_need + beta * (H^max_need - H^min_need)`` (Eqs. 35/36)
    and records the allocation on both rings.
 

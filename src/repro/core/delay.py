@@ -37,8 +37,9 @@ delay is infinite" — automatic infeasibility.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.config import AnalysisConfig, NetworkConfig
 from repro.envelopes.curve import Curve, sum_curves
@@ -92,13 +93,26 @@ class _Run(NamedTuple):
 
 
 class _Chain(NamedTuple):
-    """A connection's server chain, ready for propagation."""
+    """A connection's server chain, ready for propagation.
+
+    The *terminal* run is the run after the chain's last shared port (the
+    whole chain for a ring-local connection).  Only delay lines follow its
+    last other stage, the ``tail``, and a delay line's bounds ignore its
+    input, so no bound reads the outputs from the tail on.  The engine
+    analyzes those stages for their bounds only; the terminal run's
+    segment-cache key is interned apart from every other run's, so its
+    bounds-only entries never answer a run that needs an output.
+    """
 
     stages: Sequence[Stage]
     #: Index of each run's first stage -> the run.
     runs: Dict[int, _Run]
     #: Names of the shared-port stages, in chain order.
     ports: Tuple[str, ...]
+    #: Index of the terminal run's first stage.
+    terminal: int
+    #: Index of the first stage whose output no bound reads.
+    tail: int
 
 
 class _Skeleton(NamedTuple):
@@ -145,10 +159,22 @@ class DelayReport:
     conn_id: str
     total_delay: float
     per_hop: Tuple[Tuple[str, float], ...]
-    output: Curve
     #: Worst-case backlog contributed at each *dedicated* hop (bits); shared
     #: ports report an aggregate backlog via ResourceUsage instead.
-    per_hop_backlog: Tuple[Tuple[str, float], ...] = ()
+    per_hop_backlog: Tuple[Tuple[str, float], ...]
+    #: Computes :attr:`output`.
+    replay: Callable[[], Curve] = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def output(self) -> Curve:
+        """The connection's envelope at the exit of its chain.
+
+        No bound reads it, so the engine does not compute it: the first
+        read replays the stages from the chain's tail with outputs (see
+        :class:`_Chain`) and keeps the curve.  It is the curve an eager
+        walk of the whole chain gives, bit for bit.
+        """
+        return self.replay()
 
     def hop_delay(self, name_fragment: str) -> float:
         """Sum of delays at hops whose name contains ``name_fragment``."""
@@ -408,7 +434,7 @@ class DelayAnalyzer:
             run = runs[start]
             run_id = self._run_ids((run.run_id, stage.server.cache_key()))
             runs[start] = run._replace(run_id=run_id)
-        chain = _Chain(stages, runs, skeleton.chain.ports)
+        chain = skeleton.chain._replace(stages=stages, runs=runs)
         self._chain_memo.put(load, (version, chain))
         return chain
 
@@ -435,6 +461,7 @@ class DelayAnalyzer:
         macs: List[Tuple[int, int]] = []
         ports: List[str] = []
         i, n = 0, len(stages)
+        terminal = tail = n
         while i < n:
             stage = stages[i]
             if isinstance(stage, SharedStage):
@@ -453,15 +480,25 @@ class DelayAnalyzer:
                 else:
                     seg_keys.append(server.cache_key())
                 j += 1
-            # A key here is a tuple of server keys and Nones; a MAC run's
-            # key in _chain_for starts with an int, so the two never meet.
+            # A key here is a tuple of server keys and Nones, which the
+            # terminal run's wraps behind a str; a MAC run's key in
+            # _chain_for starts with an int, so no two forms meet.
+            run_key: tuple = tuple(seg_keys)
+            if j == n:
+                terminal = tail = i
+                for k in range(i, j):
+                    if not isinstance(stages[k].server, ConstantDelayServer):
+                        tail = k
+                run_key = ("bounds-only", run_key)
             runs[i] = _Run(
                 j,
-                self._run_ids(tuple(seg_keys)),
+                self._run_ids(run_key),
                 tuple(s.name for s in stages[i:j]),
             )
             i = j
-        skeleton = _Skeleton(_Chain(stages, runs, tuple(ports)), tuple(macs))
+        skeleton = _Skeleton(
+            _Chain(stages, runs, tuple(ports), terminal, tail), tuple(macs)
+        )
         self._skeletons.put(key, skeleton)
         return skeleton
 
@@ -498,14 +535,29 @@ class DelayAnalyzer:
             envelope = envelope.coarsen(cap, direction="upper")
         return envelope
 
-    def _analyze_dedicated(self, server: DedicatedServer, envelope: Curve):
-        key = (server.cache_key(), envelope.fingerprint())
+    def _analyze_dedicated(
+        self, server: DedicatedServer, envelope: Curve, output: bool = True
+    ):
+        """Memoized ``server.analyze(envelope, output=output)``; a
+        bounds-only result is keyed apart from a full one."""
+        key: tuple = (server.cache_key(), envelope.fingerprint())
+        if not output:
+            key = ("bounds-only", *key)
         hit = self._stage_cache.get(key)
         if hit is not None:
             return hit
-        result = server.analyze(envelope)
+        result = server.analyze(envelope, output=output)
         self._stage_cache.put(key, result)
         return result
+
+    def _replay_output(self, chain: _Chain, envelope: Curve) -> Curve:
+        """The output of ``chain`` given ``envelope``, the input of its
+        tail: the walk the bounds-only stages skipped, through the same
+        memoized analyses and tidying as every other stage."""
+        for stage in chain.stages[chain.tail :]:
+            output = self._analyze_dedicated(stage.server, envelope).output
+            envelope = self._tidy(output)
+        return envelope
 
     def _advance_dedicated(self, st: "_ConnState") -> bool:
         """Advance ``st`` through its next maximal run of dedicated stages.
@@ -516,7 +568,9 @@ class DelayAnalyzer:
         so a repeat probe replays them from the segment cache in O(1)
         instead of re-walking every stage.  Stage *names* are taken from
         the chain's run, so connections that share server behaviour still
-        report their own hop labels.
+        report their own hop labels.  In the terminal run the stages from
+        the chain's tail on are analyzed for their bounds only, and
+        ``st.envelope`` is left at the tail's input.
         """
         run = st.chain.runs.get(st.idx)
         if run is None:
@@ -529,11 +583,13 @@ class DelayAnalyzer:
             delays = []
             backlogs = []
             env = st.envelope
-            for stage in st.chain.stages[st.idx : run.end]:
-                result = self._analyze_dedicated(stage.server, env)
+            stages, tail = st.chain.stages, st.chain.tail
+            for k in range(st.idx, run.end):
+                result = self._analyze_dedicated(stages[k].server, env, k < tail)
                 delays.append(result.delay_bound)
                 backlogs.append(result.backlog_bound)
-                env = self._tidy(result.output)
+                if k < tail:
+                    env = self._tidy(result.output)
             self._segment_cache.put(key, (tuple(delays), tuple(backlogs), env))
         for d in delays:
             st.total += d
@@ -707,8 +763,8 @@ class DelayAnalyzer:
                 conn_id=st.load.spec.conn_id,
                 total_delay=st.total,
                 per_hop=tuple(st.hops),
-                output=st.envelope,
                 per_hop_backlog=tuple(st.hop_backlogs),
+                replay=functools.partial(self._replay_output, st.chain, st.envelope),
             )
             for st in states
         }
@@ -750,11 +806,11 @@ class DelayAnalyzer:
         traversers land, so none of its traversers can have passed it).  The
         iteration assumes a quantized output shift per unresolved port
         (starting at zero, the optimistic floor), re-propagates each stuck
-        envelope through its remaining chain under those shifts, recomputes
-        every port's delay from the collected entrance envelopes, and
-        repeats until the shift vector is exactly the one it assumed —
-        self-consistency on the ``output_delay_quantum`` lattice.  The
-        shift map is monotone non-decreasing (larger shifts produce
+        envelope up to its chain's last shared port under those shifts,
+        recomputes every port's delay from the collected entrance
+        envelopes, and repeats until the shift vector is exactly the one it
+        assumed — self-consistency on the ``output_delay_quantum`` lattice.
+        The shift map is monotone non-decreasing (larger shifts produce
         pointwise-larger envelopes, hence larger delays), so the iterates
         climb the lattice and either repeat (converged) or exceed the
         iteration cap (:class:`FixedPointDivergenceError`; no stable bound).
@@ -784,7 +840,9 @@ class DelayAnalyzer:
                     idx=st.idx,
                 )
                 stages = st.chain.stages
-                while walker.idx < len(stages):
+                # A walker only collects port inputs: it stops at the
+                # terminal run, which only the final replay walks.
+                while walker.idx < st.chain.terminal:
                     stage = stages[walker.idx]
                     if isinstance(stage, DedicatedStage):
                         self._advance_dedicated(walker)
@@ -840,6 +898,9 @@ class DelayAnalyzer:
 
 @dataclasses.dataclass
 class _ConnState:
+    """A connection part-way through its chain: ``envelope`` enters stage
+    ``idx``; once the chain is done, it enters the chain's tail."""
+
     load: ConnectionLoad
     chain: _Chain
     envelope: Curve

@@ -92,8 +92,18 @@ class BetaPolicy(AllocationPolicy):
     # -- binary searches -------------------------------------------------
 
     def _search_min_need(self, ctx: AllocationContext) -> Optional[float]:
-        """Smallest feasible ``s`` (Step 3).  Feasibility is monotone in s:
-        more bandwidth weakly decreases every worst-case delay."""
+        """A feasible ``s`` by bisection (Step 3): 0 when ``s = 0`` is
+        feasible, otherwise a point within ``search_tolerance`` above an
+        infeasible one.
+
+        It is the smallest feasible ``s`` only where feasibility is
+        monotone in ``s``, and feasibility is not monotone: a larger
+        ``H_S`` lets the source MAC pass larger bursts to the destination
+        MAC, whose delay can rise by more than the source MAC's falls
+        (``TestFeasibilityIsNotMonotone`` in
+        ``tests/core/test_policies_and_region.py``).  Every returned point
+        is feasible: ``hi`` is always ``s = 1``, which the controller
+        verified, or a probed feasible point."""
         tol = ctx.config.search_tolerance
         lo, hi = 0.0, 1.0
         reports_lo = ctx.check_feasible(*ctx.point(0.0))

@@ -60,6 +60,8 @@ def theorem1(
     allocation: float,
     rotation: float,
     wording: Theorem1Wording,
+    *,
+    output: bool = True,
 ) -> ServerAnalysis:
     """Theorem 1 for ``arrival`` at a station served once per token rotation.
 
@@ -69,7 +71,8 @@ def theorem1(
     The grid and deconvolution plans come from ``server.plans`` when it
     is set, so a later call on the same arrival with another allocation
     reads only the staircase's values; the result is the same bit for
-    bit.
+    bit.  ``output=False`` returns the three bounds only: it skips
+    Theorem 1(4), the output envelope's deconvolution and cap.
     """
     name = server.name
     if allocation == 0.0:
@@ -109,13 +112,15 @@ def theorem1(
     if math.isinf(delay):
         raise UnstableSystemError(wording.unbounded_delay.format(name=name))
 
-    # Theorem 1(4): output envelope, capped at the ring rate.
-    output = deconvolve(arrival, avail, t_limit=b, plans=server.plans).cap(
-        server.bandwidth
-    )
+    envelope = None
+    if output:
+        # Theorem 1(4): output envelope, capped at the ring rate.
+        envelope = deconvolve(arrival, avail, t_limit=b, plans=server.plans).cap(
+            server.bandwidth
+        )
     return ServerAnalysis(
         delay_bound=delay,
-        output=output,
+        output=envelope,
         backlog_bound=backlog,
         busy_interval=b,
     )
@@ -220,8 +225,10 @@ class FDDIMacServer(DedicatedServer):
             avail = avail.coarsen(self.service_segments, direction="lower")
         return avail
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         """Run Theorem 1 for ``arrival``; see class docstring.
+
+        ``output=False`` skips the output envelope (:func:`theorem1`).
 
         Raises
         ------
@@ -232,7 +239,9 @@ class FDDIMacServer(DedicatedServer):
             If the worst-case backlog exceeds ``buffer_bits`` (Theorem 1
             case ``F > S``: infinite delay).
         """
-        return theorem1(self, arrival, self.sync_time, self.ttrt, _FDDI_WORDING)
+        return theorem1(
+            self, arrival, self.sync_time, self.ttrt, _FDDI_WORDING, output=output
+        )
 
     def cache_key(self):
         return (

@@ -127,9 +127,9 @@ class TokenRing8025MacServer(DedicatedServer):
             self.holding_time, self.cycle_time, self.bandwidth, n_steps=n_steps
         )
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         return theorem1(
-            self, arrival, self.holding_time, self.cycle_time, _WORDING
+            self, arrival, self.holding_time, self.cycle_time, _WORDING, output=output
         )
 
     def cache_key(self):

@@ -44,7 +44,7 @@ class CellFrameConversionServer(DedicatedServer):
         """Cell payload bits that carry one frame (``F_C * C_S``)."""
         return cells_for_frame(self.frame_bits) * CELL_PAYLOAD_BITS
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         t_max = max(self.horizon, float(arrival.last_breakpoint))
         output = ceiling_quantize(
             arrival,

@@ -63,7 +63,7 @@ class FrameCellConversionServer(DedicatedServer):
         """``F_C * C_S`` — payload bits emitted per frame (with padding)."""
         return self.cells_per_frame * CELL_PAYLOAD_BITS
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         t_max = max(self.horizon, float(arrival.last_breakpoint))
         output = ceiling_quantize(
             arrival,

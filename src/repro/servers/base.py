@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from typing import Optional
 
 from repro.envelopes.curve import Curve
 
@@ -21,7 +22,8 @@ class ServerAnalysis:
         :class:`repro.errors.BufferOverflowError` instead, so callers cannot
         accidentally ignore an infeasible analysis.
     output:
-        The connection's traffic envelope at the server's exit.
+        The connection's traffic envelope at the server's exit; ``None``
+        when an analysis with ``output=False`` skipped it.
     backlog_bound:
         Worst-case backlog (bits) the connection contributes at this server.
     busy_interval:
@@ -30,7 +32,7 @@ class ServerAnalysis:
     """
 
     delay_bound: float
-    output: Curve
+    output: Optional[Curve]
     backlog_bound: float = 0.0
     busy_interval: float = 0.0
 
@@ -44,8 +46,13 @@ class DedicatedServer(abc.ABC):
     name: str = "server"
 
     @abc.abstractmethod
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
-        """Analyze the server for a connection with input envelope ``arrival``."""
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
+        """Analyze the server for a connection with input envelope ``arrival``.
+
+        With ``output=False`` the caller reads only the bounds, and a
+        server whose output costs work (Theorem 1's MACs) skips it and
+        returns ``output=None``.  The bounds are the same either way.
+        """
 
     @abc.abstractmethod
     def cache_key(self):

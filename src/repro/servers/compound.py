@@ -20,7 +20,7 @@ class ServerChain(DedicatedServer):
         self.servers: List[DedicatedServer] = list(servers)
         self.name = name
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         total_delay = 0.0
         max_backlog = 0.0
         max_busy = 0.0
@@ -30,6 +30,7 @@ class ServerChain(DedicatedServer):
             total_delay += result.delay_bound
             max_backlog = max(max_backlog, result.backlog_bound)
             max_busy = max(max_busy, result.busy_interval)
+            assert result.output is not None
             envelope = result.output
         return ServerAnalysis(
             delay_bound=total_delay,
@@ -50,6 +51,7 @@ class ServerChain(DedicatedServer):
         for server in self.servers:
             result = server.analyze(envelope)
             breakdown.append((server.name, result))
+            assert result.output is not None
             envelope = result.output
         return breakdown, envelope
 

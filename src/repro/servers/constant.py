@@ -23,7 +23,7 @@ class ConstantDelayServer(DedicatedServer):
         self.delay = float(delay)
         self.name = name
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         return ServerAnalysis(
             delay_bound=self.delay,
             output=arrival,

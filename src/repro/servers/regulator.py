@@ -66,7 +66,7 @@ class RegulatorServer(DedicatedServer):
             return bucket
         return bucket.cap(self.peak)
 
-    def analyze(self, arrival: Curve) -> ServerAnalysis:
+    def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         shape = self.shaping_curve()
         if arrival.final_slope > self.rho * (1 + 1e-12):
             raise UnstableSystemError(

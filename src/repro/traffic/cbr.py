@@ -23,12 +23,15 @@ class CBRTraffic(TrafficDescriptor):
     rate: float
     packet_bits: float = 0.0
 
+    __hash__ = TrafficDescriptor._stored_hash
+
     def __post_init__(self) -> None:
         self._require_finite()
         if self.rate <= 0:
             raise ConfigurationError("rate must be positive")
         if self.packet_bits < 0:
             raise ConfigurationError("packet size must be non-negative")
+        self._store_hash()
 
     @property
     def long_term_rate(self) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
 from typing import Iterator, Tuple
 
@@ -19,6 +20,9 @@ class TrafficDescriptor(abc.ABC):
     evaluates the rate form directly.
     """
 
+    #: Set by :meth:`_store_hash`.
+    _hash: int
+
     def _require_finite(self) -> None:
         """Refuse a NaN or infinite parameter; only ``peak`` may be ``+inf``.
 
@@ -32,6 +36,22 @@ class TrafficDescriptor(abc.ABC):
                 raise ConfigurationError(
                     f"{type(self).__name__}.{name} must be finite, got {value!r}"
                 )
+
+    def _store_hash(self) -> None:
+        """Hash a frozen dataclass descriptor's fields once, at construction.
+
+        The value is the one the dataclass ``__hash__`` computes on every
+        call; the analyzer's envelope cache hashes a descriptor for every
+        load of every analysis.  A class opts in with ``__hash__ =
+        TrafficDescriptor._stored_hash`` and a call at the end of its
+        ``__post_init__``.  Its fields are floats, whose hashes are the
+        same in every process, so a pickled descriptor keeps a valid hash.
+        """
+        fields = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def _stored_hash(self) -> int:
+        return self._hash
 
     @abc.abstractmethod
     def envelope(self, horizon: float) -> Curve:

@@ -50,6 +50,8 @@ class DualPeriodicTraffic(TrafficDescriptor):
     p2: float
     peak: float = math.inf
 
+    __hash__ = TrafficDescriptor._stored_hash
+
     def __post_init__(self) -> None:
         self._require_finite()
         if self.p1 <= 0 or self.p2 <= 0:
@@ -67,6 +69,7 @@ class DualPeriodicTraffic(TrafficDescriptor):
             )
         if self.peak <= 0:
             raise ConfigurationError("peak rate must be positive")
+        self._store_hash()
 
     # ------------------------------------------------------------------
 

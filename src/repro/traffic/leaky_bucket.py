@@ -25,6 +25,8 @@ class LeakyBucketTraffic(TrafficDescriptor):
     rho: float
     peak: float = math.inf
 
+    __hash__ = TrafficDescriptor._stored_hash
+
     def __post_init__(self) -> None:
         self._require_finite()
         if self.sigma < 0:
@@ -35,6 +37,7 @@ class LeakyBucketTraffic(TrafficDescriptor):
             raise ConfigurationError("peak rate must be positive")
         if math.isfinite(self.peak) and self.peak < self.rho:
             raise ConfigurationError("peak rate cannot be below sustained rate")
+        self._store_hash()
 
     @property
     def long_term_rate(self) -> float:

@@ -24,6 +24,8 @@ class PeriodicTraffic(TrafficDescriptor):
     p: float
     peak: float = math.inf
 
+    __hash__ = TrafficDescriptor._stored_hash
+
     def __post_init__(self) -> None:
         self._require_finite()
         if self.c <= 0:
@@ -32,6 +34,7 @@ class PeriodicTraffic(TrafficDescriptor):
             raise ConfigurationError("period p must be positive")
         if self.peak <= 0:
             raise ConfigurationError("peak rate must be positive")
+        self._store_hash()
 
     @property
     def long_term_rate(self) -> float:

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.config import CACConfig, build_network
+from repro.config import CACConfig, NetworkConfig, build_network
 from repro.core import AdmissionController, FDDILocalPolicy, MaxAvailPolicy
 from repro.core.feasible_region import (
     convexity_violations,
     feasibility_grid,
     lower_boundary_on_ray,
 )
-from repro.core.policies import BetaPolicy, FixedPolicy
+from repro.core.policies import AllocationContext, BetaPolicy, FixedPolicy
 from repro.core.delay import ConnectionLoad
+from repro.fddi.timed_token import min_sync_allocation
 from repro.network.connection import ConnectionSpec
 from repro.network.routing import compute_route
 from repro.traffic import DualPeriodicTraffic
@@ -160,3 +161,47 @@ class TestFeasibleRegion:
             oracle, [1e-6], h_s_max=0.0079, tolerance=0.05
         )
         assert boundary[0][1] is None
+
+
+class TestFeasibilityIsNotMonotone:
+    """More allocation can raise a bound, so feasibility is not monotone in
+    the search parameter ``s``: a larger ``H_S`` lets the source MAC pass
+    larger bursts to the destination MAC."""
+
+    def _bounds(self, s_values, vary="both"):
+        cfg = NetworkConfig(n_rings=2)
+        topo = build_network(cfg)
+        cac = AdmissionController(topo, network_config=cfg)
+        traffic = DualPeriodicTraffic(c1=100_000.0, p1=0.015, c2=50_000.0, p2=0.005)
+        conn = ConnectionSpec("c", "host1-1", "host2-2", traffic, 1.0)
+        route = compute_route(topo, "host1-1", "host2-2")
+        rings = [topo.rings[route.source_ring], topo.rings[route.dest_ring]]
+        ctx = AllocationContext(
+            h_min_abs=tuple(min_sync_allocation(r.bandwidth) for r in rings),
+            h_max_avail=tuple(r.available_sync_time for r in rings),
+            local=False,
+            check_feasible=None,
+            reports_at_max={},
+            config=CACConfig(),
+        )
+        reports = []
+        for s in s_values:
+            h_s, h_r = ctx.point(s)
+            if vary == "source":
+                h_r = ctx.point(s_values[0])[1]
+            load = ConnectionLoad(conn, route, h_s, h_r)
+            reports.append(cac.analyzer.compute([load])["c"])
+        return reports
+
+    def test_lone_connection_bound_rises_with_allocation(self):
+        low, high = self._bounds((5 / 128, 6 / 128))
+        assert low.total_delay == pytest.approx(0.059020, abs=5e-7)
+        assert high.total_delay == pytest.approx(0.059239, abs=5e-7)
+        # So a 0.0591 s deadline is met at s = 5/128 and missed at 6/128:
+        # the source MAC gets faster, the destination MAC slower.
+        assert low.hop_delay("fddi-mac:ring1") > high.hop_delay("fddi-mac:ring1")
+        assert low.hop_delay("fddi-mac:ring2") < high.hop_delay("fddi-mac:ring2")
+
+    def test_the_source_allocation_alone_raises_it(self):
+        low, high = self._bounds((5 / 128, 6 / 128), vary="source")
+        assert high.total_delay > low.total_delay
