@@ -13,15 +13,38 @@ library's server analyses directly:
 Run:  python examples/token_ring_extension.py
 """
 
+from typing import List, Tuple
+
 from repro.atm import AtmLink, OutputPortServer
 from repro.fddi import FDDIMacServer, TokenRing8025MacServer
 from repro.interface_device import (
     CellFrameConversionServer,
     FrameCellConversionServer,
 )
-from repro.servers import ConstantDelayServer, ServerChain
+from repro.envelopes.curve import Curve
+from repro.servers import ConstantDelayServer, DedicatedServer
 from repro.traffic import PeriodicTraffic
 from repro.units import MBIT, US
+
+
+def run_stages(
+    servers: List[DedicatedServer], envelope: Curve
+) -> Tuple[List[Tuple[str, float]], float, Curve]:
+    """Eq. (7) over a run of dedicated servers: each server sees the
+    previous one's output, and the run's bound is the sum of theirs.
+
+    Returns the per-server ``(name, delay)`` breakdown, the summed delay
+    and the envelope leaving the last server.
+    """
+    breakdown: List[Tuple[str, float]] = []
+    total = 0.0
+    for server in servers:
+        result = server.analyze(envelope)
+        breakdown.append((server.name, result.delay_bound))
+        total += result.delay_bound
+        assert result.output is not None
+        envelope = result.output
+    return breakdown, total, envelope
 
 
 def main() -> None:
@@ -42,7 +65,7 @@ def main() -> None:
 
     # --- Interface device, ATM hop, receiving device ----------------------
     uplink = AtmLink("id->s1", rate=155.52 * MBIT, propagation_delay=10 * US)
-    chain = ServerChain(
+    source_hops, source_delay, source_output = run_stages(
         [
             source_mac,
             ConstantDelayServer(50 * US, name="802.5 delay line"),
@@ -52,18 +75,15 @@ def main() -> None:
                 frame_bits=16_000.0, processing_delay=20 * US, name="frame->cell"
             ),
         ],
-        name="source-side",
+        envelope,
     )
-    source_side = chain.analyze(envelope)
 
     # The shared ATM port: our cells compete with 60 Mbps of cross traffic.
     port = OutputPortServer(uplink, port_latency=3 * US)
-    from repro.envelopes.curve import Curve
-
     cross_traffic = [Curve.affine(100_000.0, 60 * MBIT)]
-    port_result = port.analyze_tagged(source_side.output, cross_traffic)
+    port_result = port.analyze_tagged(source_output, cross_traffic)
 
-    receive_chain = ServerChain(
+    receive_hops, receive_delay, _ = run_stages(
         [
             ConstantDelayServer(10 * US, name="ID_R input port"),
             CellFrameConversionServer(
@@ -79,27 +99,24 @@ def main() -> None:
             ),
             ConstantDelayServer(50 * US, name="FDDI delay line"),
         ],
-        name="receive-side",
+        port_result.output,
     )
-    receive_side = receive_chain.analyze(port_result.output)
 
     total = (
-        source_side.delay_bound
+        source_delay
         + port_result.delay_bound
         + uplink.propagation_delay
-        + receive_side.delay_bound
+        + receive_delay
     )
 
     print("802.5 -> ATM -> FDDI worst-case delay decomposition")
     print("====================================================")
-    breakdown, _ = chain.analyze_per_hop(envelope)
-    for name, r in breakdown:
-        print(f"  {name:26s} {r.delay_bound * 1e3:8.3f} ms")
+    for name, delay in source_hops:
+        print(f"  {name:26s} {delay * 1e3:8.3f} ms")
     print(f"  {'ATM output port':26s} {port_result.delay_bound * 1e3:8.3f} ms")
     print(f"  {'link propagation':26s} {uplink.propagation_delay * 1e3:8.3f} ms")
-    rx_breakdown, _ = receive_chain.analyze_per_hop(port_result.output)
-    for name, r in rx_breakdown:
-        print(f"  {name:26s} {r.delay_bound * 1e3:8.3f} ms")
+    for name, delay in receive_hops:
+        print(f"  {name:26s} {delay * 1e3:8.3f} ms")
     print("  " + "-" * 38)
     print(f"  {'END-TO-END BOUND':26s} {total * 1e3:8.3f} ms")
     print(

@@ -53,9 +53,7 @@ from repro.traffic import (
     CBRTraffic,
     DualPeriodicTraffic,
     LeakyBucketTraffic,
-    MPEGTraffic,
     PeriodicTraffic,
-    TraceTraffic,
     TrafficDescriptor,
 )
 
@@ -75,7 +73,6 @@ __all__ = [
     "DelayAnalyzer",
     "DualPeriodicTraffic",
     "LeakyBucketTraffic",
-    "MPEGTraffic",
     "NetworkConfig",
     "NetworkTopology",
     "PeriodicTraffic",
@@ -84,7 +81,6 @@ __all__ = [
     "RoutingError",
     "SimulationConfig",
     "TopologyError",
-    "TraceTraffic",
     "TrafficDescriptor",
     "UnstableSystemError",
     "build_network",

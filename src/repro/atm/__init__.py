@@ -17,18 +17,11 @@ from repro.atm.cell import (
 )
 from repro.atm.link import AtmLink
 from repro.atm.output_port import OutputPortServer
-from repro.atm.priority_port import PriorityOutputPortServer
-from repro.atm.gcra import GCRA
 from repro.atm.switch import AtmSwitch
-from repro.atm.vc import VirtualCircuit, VirtualCircuitManager
 
 __all__ = [
     "AtmLink",
     "AtmSwitch",
-    "GCRA",
-    "PriorityOutputPortServer",
-    "VirtualCircuit",
-    "VirtualCircuitManager",
     "CELL_BITS",
     "CELL_PAYLOAD_BITS",
     "OutputPortServer",

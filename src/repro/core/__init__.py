@@ -33,9 +33,7 @@ from repro.core.policies import (
 )
 from repro.core.feasible_region import feasibility_grid, lower_boundary_on_ray
 from repro.core.buffers import BufferPlan, dimension_buffers
-from repro.core.concatenation import ConcatenationAnalyzer, ConcatenationReport
 from repro.core.failover import FailoverManager, FailoverReport
-from repro.core.preemption import PreemptionResult, PreemptiveAdmission
 from repro.core.report import NetworkStateReport, network_state
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "AllocationPolicy",
     "BetaPolicy",
     "BufferPlan",
-    "ConcatenationAnalyzer",
-    "ConcatenationReport",
     "ConnectionLoad",
     "DelayAnalyzer",
     "DelayReport",
@@ -57,8 +53,6 @@ __all__ = [
     "MaxAvailPolicy",
     "route_port_names",
     "NetworkStateReport",
-    "PreemptionResult",
-    "PreemptiveAdmission",
     "RegulatorSpec",
     "ResourceUsage",
     "dimension_buffers",

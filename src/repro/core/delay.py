@@ -196,11 +196,6 @@ class ResourceUsage:
     port_busy_intervals: Dict[str, float]
     #: FIFO delay bound at each shared output port (seconds).
     port_delays: Dict[str, float]
-    #: Per-port entry envelopes: port name -> {conn_id -> envelope at the
-    #: port's entrance}.  Consumed by the concatenation analysis.
-    port_inputs: Dict[str, Dict[str, Curve]] = dataclasses.field(
-        default_factory=dict
-    )
 
 
 def _switch_hops(
@@ -699,7 +694,6 @@ class DelayAnalyzer:
         port_backlogs: Dict[str, float] = {}
         port_busy: Dict[str, float] = {}
         port_delays: Dict[str, float] = {}
-        port_inputs: Dict[str, Dict[str, Curve]] = {}
 
         # Event-driven worklist: each connection advances through dedicated
         # runs until it lands on a shared port; a port is analyzed the
@@ -740,9 +734,6 @@ class DelayAnalyzer:
             port_backlogs[port_name] = backlog
             port_busy[port_name] = busy
             port_delays[port_name] = delay
-            port_inputs[port_name] = {
-                g.load.spec.conn_id: g.envelope for g in group
-            }
             for g in group:
                 g.total += delay
                 g.hops.append((stage.name, delay))
@@ -754,9 +745,7 @@ class DelayAnalyzer:
         if remaining:
             # Not feed-forward (or force_fixed_point): the stuck
             # connections' remaining ports form cyclic mutual dependencies.
-            self._solve_fixed_point(
-                states, port_backlogs, port_busy, port_delays, port_inputs
-            )
+            self._solve_fixed_point(states, port_backlogs, port_busy, port_delays)
 
         reports = {
             st.load.spec.conn_id: DelayReport(
@@ -772,7 +761,6 @@ class DelayAnalyzer:
             port_backlogs=port_backlogs,
             port_busy_intervals=port_busy,
             port_delays=port_delays,
-            port_inputs=port_inputs,
         )
         return reports, usage
 
@@ -796,7 +784,6 @@ class DelayAnalyzer:
         port_backlogs: Dict[str, float],
         port_busy: Dict[str, float],
         port_delays: Dict[str, float],
-        port_inputs: Dict[str, Dict[str, Curve]],
     ) -> None:
         """Resolve the stuck connections' ports by fixed-point iteration.
 
@@ -829,9 +816,8 @@ class DelayAnalyzer:
         quantum = self.analysis.output_delay_quantum
         shifts: Dict[str, float] = {name: 0.0 for name in ports}
         results: Dict[str, Tuple[float, float, float]] = {}
-        inputs: Dict[str, Dict[str, Curve]] = {}
         for _ in range(self.analysis.fixed_point_max_iterations):
-            inputs = {name: {} for name in ports}
+            inputs: Dict[str, Dict[str, Curve]] = {name: {} for name in ports}
             for st in stuck:
                 walker = _ConnState(
                     load=st.load,
@@ -893,7 +879,6 @@ class DelayAnalyzer:
             port_delays[name] = delay
             port_backlogs[name] = backlog
             port_busy[name] = busy
-            port_inputs[name] = dict(inputs[name])
 
 
 @dataclasses.dataclass

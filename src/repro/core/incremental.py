@@ -141,8 +141,8 @@ class IncrementalDelayEngine:
 
         The engine keeps no per-port usage, so only the reports come
         back.  The name stays because perfbench's tracer times the engine
-        by wrapping this method; the buffer and concatenation analyses
-        that need a :class:`~repro.core.delay.ResourceUsage` call
+        by wrapping this method; the buffer analysis, which needs a
+        :class:`~repro.core.delay.ResourceUsage`, calls
         :meth:`DelayAnalyzer.compute_with_resources` directly.
         """
         loads = list(loads)

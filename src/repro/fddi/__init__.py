@@ -14,8 +14,8 @@ This package provides:
 * :class:`FDDIMacServer` — the Theorem-1 analysis of a station's MAC queue.
 * :mod:`repro.fddi.timed_token` — protocol timing facts (token rotation
   bounds, minimum useful allocation).
-* :mod:`repro.fddi.allocation` — classic FDDI-only synchronous-bandwidth
-  allocation schemes (refs [1, 24]) used as ablation baselines.
+* :class:`TokenRing8025MacServer` — the IEEE 802.5 token ring of Section 7,
+  analyzed by the same Theorem-1 routine.
 """
 
 from repro.fddi.ring import FDDIRing
@@ -25,23 +25,13 @@ from repro.fddi.timed_token import (
     min_sync_allocation,
     worst_case_token_wait,
 )
-from repro.fddi.allocation import (
-    equal_partition_allocation,
-    full_length_allocation,
-    normalized_proportional_allocation,
-    proportional_allocation,
-)
 from repro.fddi.token_ring_802_5 import TokenRing8025MacServer
 
 __all__ = [
     "FDDIMacServer",
     "FDDIRing",
     "TokenRing8025MacServer",
-    "equal_partition_allocation",
-    "full_length_allocation",
     "max_token_rotation",
     "min_sync_allocation",
-    "normalized_proportional_allocation",
-    "proportional_allocation",
     "worst_case_token_wait",
 ]

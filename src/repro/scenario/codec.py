@@ -40,7 +40,7 @@ from repro.config import NetworkConfig
 from repro.errors import JournalError, ScenarioSpecError
 from repro.faults.injector import FaultConfig, ScriptedFault
 from repro.faults.retry import RetryPolicy
-from repro.service.codec import dict_to_traffic, traffic_to_dict
+from repro.service.codec import dict_to_traffic, is_number, traffic_to_dict
 from repro.scenario.spec import (
     FORMAT_VERSION,
     AnalysisKnobs,
@@ -95,7 +95,7 @@ def _coerce(value: Any, hint: Any, what: str) -> Any:
             return _coerce(value, args[0], what)
         raise ScenarioSpecError(f"{what}: unsupported union type")
     if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not is_number(value):
             raise ScenarioSpecError(f"{what}: expected a number, got {value!r}")
         return float(value)
     if hint is int:

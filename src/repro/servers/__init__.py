@@ -14,7 +14,6 @@ it once per port for the aggregate of every connection crossing it.
 
 from repro.servers.base import DedicatedServer, ServerAnalysis
 from repro.servers.constant import ConstantDelayServer
-from repro.servers.compound import ServerChain
 from repro.servers.regulator import RegulatorServer
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "DedicatedServer",
     "RegulatorServer",
     "ServerAnalysis",
-    "ServerChain",
 ]

@@ -53,12 +53,27 @@ def traffic_to_dict(traffic: TrafficDescriptor) -> Dict[str, Any]:
     return payload
 
 
+def is_number(value: Any) -> bool:
+    """Whether a decoded JSON value is a number: an ``int`` or a
+    ``float``, but not a ``bool``, which Python counts as an ``int``.
+
+    The front end's number fields, traffic payloads and scenario files
+    are checked with this rule, so ``true`` never passes there as ``1``.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def dict_to_traffic(payload: Mapping[str, Any]) -> TrafficDescriptor:
     data = dict(payload)
     name = data.pop("type", None)
     cls = TRAFFIC_TYPES.get(str(name))
     if cls is None:
         raise JournalError(f"unknown traffic type {name!r}")
+    for key, value in data.items():
+        if not is_number(value):
+            raise JournalError(
+                f"bad {name} payload: {key} must be a number, got {value!r}"
+            )
     try:
         return cls(**data)
     except (TypeError, OverflowError) as exc:

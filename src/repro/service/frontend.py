@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import JournalError, ReproError
 from repro.network.connection import ConnectionSpec
-from repro.service.codec import dict_to_traffic
+from repro.service.codec import dict_to_traffic, is_number
 from repro.service.server import AdmissionService
 
 #: Longest request line, in bytes without its newline, that a client may
@@ -41,18 +41,24 @@ def _error(reason: str, conn_id: str = "") -> Dict[str, Any]:
     return {"verdict": "ERROR", "conn_id": conn_id, "reason": reason}
 
 
-def _number(payload: Dict[str, Any], key: str) -> Optional[float]:
-    """``payload[key]`` as a finite float (``None`` when absent)."""
-    raw = payload.get(key)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except (TypeError, OverflowError):
-        value = math.nan
+def _finite(raw: Any, key: str) -> float:
+    """``raw`` as a finite float; a bool, string or other non-number is
+    refused (:func:`~repro.service.codec.is_number`)."""
+    value = math.nan
+    if is_number(raw):
+        try:
+            value = float(raw)
+        except OverflowError:
+            pass
     if not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {raw!r}")
     return value
+
+
+def _number(payload: Dict[str, Any], key: str) -> Optional[float]:
+    """``payload[key]`` as a finite float (``None`` when absent)."""
+    raw = payload.get(key)
+    return None if raw is None else _finite(raw, key)
 
 
 def _timeout(payload: Dict[str, Any]) -> Optional[float]:
@@ -97,7 +103,7 @@ async def handle_request(
                 source_host=str(payload["source_host"]),
                 dest_host=str(payload["dest_host"]),
                 traffic=dict_to_traffic(payload["traffic"]),
-                deadline=float(payload["deadline"]),
+                deadline=_finite(payload["deadline"], "deadline"),
             )
             priority = _priority(payload)
             timeout = _timeout(payload)

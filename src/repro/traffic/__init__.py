@@ -16,7 +16,6 @@ Implemented models:
 * :class:`LeakyBucketTraffic` — the (sigma, rho) regulator familiar from
   ATM usage parameter control.
 * :class:`CBRTraffic` — constant bit rate with optional packetization.
-* :class:`TraceTraffic` — empirical envelope extracted from a packet trace.
 """
 
 from repro.traffic.descriptor import TrafficDescriptor
@@ -24,8 +23,6 @@ from repro.traffic.dual_periodic import DualPeriodicTraffic
 from repro.traffic.periodic import PeriodicTraffic
 from repro.traffic.leaky_bucket import LeakyBucketTraffic
 from repro.traffic.cbr import CBRTraffic
-from repro.traffic.trace import TraceTraffic
-from repro.traffic.mpeg import MPEGTraffic
 from repro.traffic.generators import (
     MixedWorkloadGenerator,
     WorkloadGenerator,
@@ -36,10 +33,8 @@ __all__ = [
     "CBRTraffic",
     "DualPeriodicTraffic",
     "LeakyBucketTraffic",
-    "MPEGTraffic",
     "MixedWorkloadGenerator",
     "PeriodicTraffic",
-    "TraceTraffic",
     "TrafficDescriptor",
     "WorkloadGenerator",
     "WorkloadSpec",

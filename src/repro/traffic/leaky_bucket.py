@@ -2,9 +2,9 @@
 
 The (sigma, rho) regulator of Cruz [refs 5, 6]: at most ``sigma + rho * I``
 bits in any window of length ``I``, optionally capped by a peak rate.  ATM
-usage parameter control (GCRA) polices exactly this shape, so the descriptor
-is the natural bridge between the paper's Gamma(I) world and standard ATM
-traffic contracts.
+usage parameter control (the generic cell rate algorithm) polices exactly
+this shape, so the descriptor is the natural bridge between the paper's
+Gamma(I) world and standard ATM traffic contracts.
 """
 
 from __future__ import annotations

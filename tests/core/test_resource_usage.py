@@ -29,16 +29,6 @@ class TestResourceUsage:
         assert set(usage.port_backlogs) == set(usage.port_delays)
         assert set(usage.port_busy_intervals) == set(usage.port_delays)
 
-    def test_port_inputs_keyed_by_connection(self):
-        topo = build_network()
-        analyzer = DelayAnalyzer(topo)
-        loads = loads_for(topo, [("host1-1", "host2-1"), ("host1-2", "host3-1")])
-        _, usage = analyzer.compute_with_resources(loads)
-        # Both connections share id1's uplink.
-        assert set(usage.port_inputs["id1:uplink"]) == {"c0", "c1"}
-        # Only c0 reaches s1->s2.
-        assert set(usage.port_inputs["s1:s1->s2"]) == {"c0"}
-
     def test_port_delay_consistent_with_per_hop(self):
         topo = build_network()
         analyzer = DelayAnalyzer(topo)

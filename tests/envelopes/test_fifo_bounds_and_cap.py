@@ -13,7 +13,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.envelopes import reference as ref
 from repro.envelopes.curve import Curve
 from repro.envelopes.operations import (
     FifoBounds,
@@ -21,6 +20,7 @@ from repro.envelopes.operations import (
     vertical_deviation,
 )
 from repro.envelopes.staircase import periodic_burst_staircase, timed_token_staircase
+from tests.envelopes import reference as ref
 
 
 @st.composite

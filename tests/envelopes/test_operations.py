@@ -9,6 +9,7 @@ from repro.envelopes.operations import (
     busy_interval,
     deconvolve,
     horizontal_deviation,
+    token_bucket_majorant,
     vertical_deviation,
 )
 
@@ -174,3 +175,26 @@ class TestDeconvolve:
         grid = np.linspace(0, 10, 101)
         vals = out(grid)
         assert all(vals[i + 1] >= vals[i] - 1e-9 for i in range(len(vals) - 1))
+
+
+class TestTokenBucketMajorant:
+    def test_affine_curve_is_its_own_majorant(self):
+        sigma, rho = token_bucket_majorant(Curve.affine(100.0, 5.0))
+        assert sigma == pytest.approx(100.0)
+        assert rho == pytest.approx(5.0)
+
+    def test_staircase_majorant(self):
+        stair = Curve([0.0, 1.0], [10.0, 20.0], [0.0, 10.0])
+        sigma, rho = token_bucket_majorant(stair)
+        # rho = 10; sigma must cover the left limit at t=1: 10 - 10*1 = 0,
+        # and the initial burst 10 at t=0.
+        assert rho == 10.0
+        assert sigma == pytest.approx(10.0)
+
+    def test_majorant_dominates(self):
+        import numpy as np
+
+        c = Curve([0.0, 0.5, 2.0], [5.0, 9.0, 12.0], [0.0, 0.0, 3.0])
+        sigma, rho = token_bucket_majorant(c)
+        for t in np.linspace(0, 10, 101):
+            assert sigma + rho * t >= c(float(t)) - 1e-9

@@ -2,7 +2,7 @@
 
 Every hot kernel rewritten as a numpy array operation is checked here
 against the transparent per-segment implementation in
-:mod:`repro.envelopes.reference`, on randomized curves, within
+:mod:`tests.envelopes.reference`, on randomized curves, within
 ``MONOTONE_RTOL``.  A second group pins the conservativeness contract of
 ``Curve.coarsen`` in both directions, and a third the symmetric-tolerance
 semantics of ``Curve.dominates``.
@@ -14,7 +14,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.envelopes import reference as ref
 from repro.envelopes.curve import MONOTONE_RTOL, Curve, sum_curves
 from repro.envelopes.operations import (
     busy_interval,
@@ -23,6 +22,7 @@ from repro.envelopes.operations import (
     vertical_deviation,
 )
 from repro.envelopes.staircase import timed_token_staircase
+from tests.envelopes import reference as ref
 
 RTOL = MONOTONE_RTOL
 

@@ -1,19 +1,14 @@
-"""Tests for FDDI ring ledger, timed-token helpers and SBA baselines."""
+"""Tests for the FDDI ring's allocation ledger and timed-token helpers."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fddi import (
     FDDIRing,
-    equal_partition_allocation,
-    full_length_allocation,
     max_token_rotation,
     min_sync_allocation,
-    normalized_proportional_allocation,
-    proportional_allocation,
     worst_case_token_wait,
 )
-from repro.fddi.allocation import is_schedulable
 from repro.fddi.timed_token import sync_capacity_check
 from repro.units import MBIT
 
@@ -97,44 +92,3 @@ class TestTimedTokenFacts:
         with pytest.raises(ConfigurationError):
             max_token_rotation(-1.0)
 
-
-MESSAGES = [(40_000.0, 0.05), (80_000.0, 0.10)]  # (bits, seconds)
-
-
-class TestSBASchemes:
-    def test_full_length(self):
-        hs = full_length_allocation(MESSAGES, 0.008, BW)
-        assert hs[0] == pytest.approx(40_000.0 / BW)
-
-    def test_proportional(self):
-        hs = proportional_allocation(MESSAGES, 0.008, BW)
-        # u1 = 40k/(0.05*100M) = 0.008; H1 = 0.008*TTRT
-        assert hs[0] == pytest.approx(0.008 * 0.008)
-
-    def test_normalized_proportional_fills_ttrt(self):
-        hs = normalized_proportional_allocation(MESSAGES, 0.008, BW, overhead=0.001)
-        assert sum(hs) == pytest.approx(0.007)
-
-    def test_equal_partition(self):
-        hs = equal_partition_allocation(MESSAGES, 0.008, BW, overhead=0.0)
-        assert hs == [0.004, 0.004]
-
-    def test_schedulability_test(self):
-        # Generous allocations -> schedulable.
-        hs = [0.002, 0.002]
-        assert is_schedulable(MESSAGES, hs, 0.008, BW)
-        # Starved allocations -> not schedulable.
-        tiny = [1e-6, 1e-6]
-        assert not is_schedulable(MESSAGES, tiny, 0.008, BW)
-
-    def test_rejects_deadline_below_two_ttrt(self):
-        with pytest.raises(ConfigurationError):
-            proportional_allocation([(1000.0, 0.01)], 0.008, BW)
-
-    def test_rejects_mismatched_allocations(self):
-        with pytest.raises(ConfigurationError):
-            is_schedulable(MESSAGES, [0.001], 0.008, BW)
-
-    def test_empty_messages(self):
-        assert equal_partition_allocation([], 0.008, BW) == []
-        assert normalized_proportional_allocation([], 0.008, BW) == []

@@ -1,11 +1,11 @@
 """FIFO-style server analyses: pinned outputs.
 
-Four analyses run the busy interval → backlog → delay sequence and cap
+Three analyses run the busy interval → backlog → delay sequence and cap
 an output envelope at a rate: the delay engine's shared-port analysis
 (bounds, quantized shift and each member's capped, tidied output from
 the engine's port cache, each output checked equal to the fixed-point
 ``_port_output``, and the bounds to ``OutputPortServer.analyze_aggregate``),
-the FIFO and the priority ATM output ports, and the leaky-bucket regulator.
+the FIFO ATM output port, and the leaky-bucket regulator.
 Each is pinned bit for bit (a sha256 of the ``repr`` of its bounds and
 output ``xs``/``ys``/``slopes`` lists) on inputs with jumps, ramps,
 Theorem-1 output envelopes, token buckets, a quantized delay and a
@@ -20,7 +20,6 @@ import pytest
 
 from repro.atm.link import AtmLink
 from repro.atm.output_port import OutputPortServer
-from repro.atm.priority_port import PriorityOutputPortServer
 from repro.config import AnalysisConfig, build_network
 from repro.core.delay import DelayAnalyzer
 from repro.envelopes.curve import Curve, sum_curves
@@ -103,35 +102,28 @@ PORT_PINS = {
     ),
 }
 
-#: name -> (envelopes, port latency, sha256 for the FIFO port, sha256
-#:          for the priority port).  The first envelope is the tagged
-#:          one; the priority port puts the first half of the rest in the
-#:          tagged class and the second half above it.
+#: name -> (envelopes, port latency, sha256).  The first envelope is the
+#:          tagged one; the rest are its cross traffic.
 TAGGED_PINS = {
     "jumps": (
         "jumps", 2e-6,
         "5b194f7e4698ee384729d2179002135e80049c4a4f885ed727db98dc71d585e7",
-        "45b287698e9ab898421ba59e64f5c969710d2fc0642cca428c9b3e3ec38b1da2",
     ),
     "ramps": (
         "ramps", 0.0,
         "e72fabce384d9ebe864b3a10359e467e1cf1ec1541ffa8708dd519d677527d3b",
-        "3ca8fd61dc48d7a5acf0084e174344221ac775304223e4e4240502b59c4c5b59",
     ),
     "mac-outputs": (
         "mac-outputs", 5e-6,
         "12fdd6c010cbe18741c5eab76409c4a8ffd40b994357702a2ef5b5eb3cf009df",
-        "61cc90e250dc270afb2d444ed29b45287fa89460444119d353629e3d33bef7e5",
     ),
     "token-buckets": (
         "token-buckets", 0.0,
         "24875534bc455ff52c113717df7719aa9c0044230a8c5506ece7998660597fe2",
-        "c5e369fc9395892892779cf5258fd27f67f8275fa3ad331ca6eb9e319aa1d1ed",
     ),
     "heavy": (
         "heavy", 1e-5,
         "d359175ab60a203e664faed5d36908c7cad7848224976affd4fc8562f1942d7b",
-        "629b27a91deed9e872584926776db9d02944bf4996e6042190135fc2d20db76e",
     ),
 }
 
@@ -196,20 +188,10 @@ def test_analyze_port_is_pinned(case):
 
 @pytest.mark.parametrize("case", sorted(TAGGED_PINS))
 def test_output_port_is_pinned(case):
-    name, latency, digest, _ = TAGGED_PINS[case]
+    name, latency, digest = TAGGED_PINS[case]
     tagged, *cross = _envelopes(name)
     port = OutputPortServer(OC3, port_latency=latency)
     assert _digest(_analysis(port.analyze_tagged(tagged, cross))) == digest
-
-
-@pytest.mark.parametrize("case", sorted(TAGGED_PINS))
-def test_priority_port_is_pinned(case):
-    name, latency, _, digest = TAGGED_PINS[case]
-    tagged, *rest = _envelopes(name)
-    same, higher = rest[: len(rest) // 2], rest[len(rest) // 2 :]
-    port = PriorityOutputPortServer(OC3, port_latency=latency)
-    result = port.analyze_tagged(tagged, same, higher)
-    assert _digest(_analysis(result)) == digest
 
 
 @pytest.mark.parametrize("case", sorted(REGULATOR_PINS))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.envelopes.curve import Curve
 from repro.errors import ConfigurationError
-from repro.servers import ConstantDelayServer, ServerChain
+from repro.servers import ConstantDelayServer
 
 
 class TestConstantDelayServer:
@@ -29,32 +29,3 @@ class TestConstantDelayServer:
     def test_no_backlog(self):
         r = ConstantDelayServer(1.0).analyze(Curve.constant(100.0))
         assert r.backlog_bound == 0.0
-
-
-class TestServerChain:
-    def test_delays_sum(self):
-        chain = ServerChain(
-            [ConstantDelayServer(0.001), ConstantDelayServer(0.002)], name="x"
-        )
-        r = chain.analyze(Curve.affine(1.0, 1.0))
-        assert r.delay_bound == pytest.approx(0.003)
-
-    def test_empty_chain(self):
-        chain = ServerChain([])
-        a = Curve.affine(1.0, 1.0)
-        r = chain.analyze(a)
-        assert r.delay_bound == 0.0
-        assert r.output is a
-
-    def test_per_hop_breakdown(self):
-        chain = ServerChain(
-            [ConstantDelayServer(0.001, name="a"), ConstantDelayServer(0.002, name="b")]
-        )
-        breakdown, out = chain.analyze_per_hop(Curve.zero())
-        assert [name for name, _ in breakdown] == ["a", "b"]
-        assert breakdown[1][1].delay_bound == 0.002
-        assert out(1.0) == 0.0
-
-    def test_repr_lists_servers(self):
-        chain = ServerChain([ConstantDelayServer(0.1, name="hop1")], name="c")
-        assert "hop1" in repr(chain)

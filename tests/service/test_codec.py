@@ -42,6 +42,12 @@ def test_unknown_traffic_type_rejected():
         dict_to_traffic({"type": "WeirdTraffic", "fields": {}})
 
 
+@pytest.mark.parametrize("value", [True, False, "0.01"])
+def test_traffic_field_must_be_a_number(value):
+    with pytest.raises(JournalError, match="must be a number"):
+        dict_to_traffic({"type": "PeriodicTraffic", "c": 40_000.0, "p": value})
+
+
 def test_spec_round_trip():
     spec = ConnectionSpec(
         "s-1", "host1-1", "host2-2", TRAFFICS[0], 0.09

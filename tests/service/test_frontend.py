@@ -137,6 +137,16 @@ BAD_REQUESTS = {
     "timeout-nan": _bad_admit(timeout=math.nan),
     "timeout-zero": _bad_admit(timeout=0),
     "release-timeout-negative": {"op": "release", "conn_id": "c0", "timeout": -1.0},
+    # JSON booleans and strings are not numbers, though Python counts True
+    # as 1: "c": true once built a 1-bit PeriodicTraffic the CAC admitted.
+    "traffic-c-true": _bad_admit(
+        traffic={"type": "PeriodicTraffic", "c": True, "p": 0.01}
+    ),
+    "traffic-p1-string": _bad_admit(traffic={**ADMIT_C1["traffic"], "p1": "0.015"}),
+    "deadline-true": _bad_admit(deadline=True),
+    "deadline-string": _bad_admit(deadline="0.09"),
+    "priority-true": _bad_admit(priority=True),
+    "timeout-true": _bad_admit(timeout=True),
     # An otherwise valid admit one byte over the front end's line bound.
     "line-over-stream-limit": _padded_admit(MAX_LINE_BYTES + 1),
     # Deeper than the JSON decoder's recursion limit.
@@ -177,4 +187,3 @@ def test_non_finite_or_out_of_range_fields_answer_error(case, tmp_path):
     assert answer["verdict"] == "ERROR"
     assert after == before
     assert follow_up["verdict"] == "ADMITTED"
-

@@ -1,7 +1,5 @@
 """Full-stack integration stories exercising the public API end to end."""
 
-import math
-
 import pytest
 
 from repro import (
@@ -125,55 +123,7 @@ class TestHeterogeneityMatters:
         assert res.record.route.switch_path == ["s1", "s4"]
 
 
-class TestVcLifecycleWithCac:
-    """Admission + virtual-circuit setup as a production deployment would
-    pair them: labels allocated after a positive decision, torn down on
-    release."""
-
-    def test_admit_setup_release_teardown(self):
-        from repro.atm import VirtualCircuitManager
-
-        topo = build_network()
-        cac = AdmissionController(topo)
-        vcs = VirtualCircuitManager(topo)
-        res = cac.request(ConnectionSpec("c", "host1-1", "host2-1", TRAFFIC, 0.09))
-        assert res.admitted
-        circuit = vcs.setup("c", res.record.route)
-        assert len(circuit.hops) == 3
-        assert vcs.labels_in_use("s1->s2") == 1
-        cac.release("c")
-        vcs.teardown("c")
-        assert vcs.labels_in_use("s1->s2") == 0
-
-    def test_vc_shortage_is_an_admission_failure_mode(self):
-        from repro.atm import VirtualCircuitManager
-        from repro.atm.vc import VcExhaustedError
-
-        topo = build_network()
-        cac = AdmissionController(topo)
-        vcs = VirtualCircuitManager(topo, vcis_per_link=1)
-        r1 = cac.request(ConnectionSpec("a", "host1-1", "host2-1", TRAFFIC, 0.09))
-        vcs.setup("a", r1.record.route)
-        r2 = cac.request(ConnectionSpec("b", "host1-2", "host2-2", TRAFFIC, 0.09))
-        assert r2.admitted  # bandwidth-wise fine...
-        with pytest.raises(VcExhaustedError):
-            vcs.setup("b", r2.record.route)  # ...but no labels left
-        cac.release("b")  # the deployment rolls the admission back
-
-
 class TestTrafficModelInterop:
-    def test_trace_descriptor_through_cac(self):
-        from repro import TraceTraffic
-
-        # Record a synthetic "application trace" and admit from it.
-        arrivals = [(i * 0.015, 100_000.0) for i in range(20)]
-        traffic = TraceTraffic(arrivals)
-        topo = build_network()
-        cac = AdmissionController(topo)
-        res = cac.request(ConnectionSpec("t", "host1-1", "host2-1", traffic, 0.1))
-        assert res.admitted
-        assert math.isfinite(res.record.delay_bound)
-
     def test_leaky_bucket_through_cac(self):
         from repro import LeakyBucketTraffic
 

@@ -1,9 +1,8 @@
-"""Tests for periodic, leaky-bucket, CBR, trace descriptors and generators."""
+"""Tests for periodic, leaky-bucket and CBR descriptors and generators."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -12,7 +11,6 @@ from repro.traffic import (
     DualPeriodicTraffic,
     LeakyBucketTraffic,
     PeriodicTraffic,
-    TraceTraffic,
     WorkloadGenerator,
     WorkloadSpec,
 )
@@ -114,45 +112,6 @@ class TestCBR:
     def test_rejects_zero_rate(self):
         with pytest.raises(ConfigurationError):
             CBRTraffic(rate=0.0)
-
-
-class TestTrace:
-    def test_single_arrival(self):
-        t = TraceTraffic([(0.0, 100.0)], sustained_rate=50.0)
-        env = t.envelope(1.0)
-        assert env(0.0) >= 100.0
-
-    def test_envelope_bounds_trace_windows(self):
-        arrivals = [(0.0, 10.0), (0.1, 20.0), (0.15, 5.0), (0.5, 40.0)]
-        t = TraceTraffic(arrivals)
-        env = t.envelope(1.0)
-        # Check every pair window.
-        times = [a[0] for a in arrivals]
-        bits = [a[1] for a in arrivals]
-        for i in range(len(arrivals)):
-            for j in range(i, len(arrivals)):
-                window = times[j] - times[i]
-                gain = sum(bits[i : j + 1])
-                assert env(window) >= gain - 1e-9
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ConfigurationError):
-            TraceTraffic([(1.0, 5.0), (0.5, 5.0)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            TraceTraffic([])
-
-    def test_worst_case_replays_trace(self):
-        arrivals = [(0.5, 10.0), (1.0, 20.0)]
-        t = TraceTraffic(arrivals)
-        replay = list(t.worst_case_arrivals(10.0))
-        assert replay[0] == (0.0, 10.0)
-        assert replay[1] == (0.5, 20.0)
-
-    def test_long_term_rate_default(self):
-        t = TraceTraffic([(0.0, 100.0), (1.0, 100.0)])
-        assert t.long_term_rate == pytest.approx(200.0)
 
 
 class TestWorkloadGenerator:
