@@ -9,13 +9,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint.engine import (
-    ALL_RULES,
-    format_json_report,
-    format_report,
-    lint_paths,
-    select_rules,
-)
+from repro.lint.engine import ALL_RULES, format_report, lint_paths
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -24,8 +18,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         description=(
             "Domain-aware static analysis: determinism (RL001), unit "
             "discipline (RL002), float safety (RL003), cache purity "
-            "(RL004), exception transactionality (RL006), asyncio "
-            "atomicity (RL007), dimension inference (RL008)."
+            "(RL004), suppression hygiene (RL005), exception "
+            "transactionality (RL006), asyncio atomicity (RL007), "
+            "dimension inference (RL008).  Exit codes: 0 clean, "
+            "1 findings, 2 linter crash or usage error."
         ),
     )
     parser.add_argument(
@@ -35,35 +31,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--select",
-        metavar="CODES",
-        default=None,
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format on stdout (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help=(
-            "also write the JSON report to PATH (stdout keeps --format); "
-            "used by CI to publish the report artifact"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--no-hints",
-        action="store_true",
-        help="omit autofix hints from the report",
     )
     args = parser.parse_args(argv)
 
@@ -74,20 +44,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        rules = select_rules(
-            args.select.split(",") if args.select else None
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        findings = lint_paths(args.paths, rules=rules)
-        if args.format == "json":
-            sys.stdout.write(format_json_report(findings))
-        else:
-            print(format_report(findings, show_hints=not args.no_hints))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(format_json_report(findings))
+        findings = lint_paths(args.paths)
+        print(format_report(findings))
     except Exception as exc:  # a linter bug must not masquerade as "clean"
         print(
             f"reprolint: internal error: {type(exc).__name__}: {exc}",

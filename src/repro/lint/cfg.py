@@ -21,8 +21,8 @@ Design points that matter to the analyses built on top:
   *N* are visible at the loop head for iteration *N+1* — the pre-PR-9
   ``connect_switches`` bug (mutate in iteration 1, raise in iteration
   2) is only reachable through that edge.
-* ``with``/``async with`` produce paired ``with_enter``/``with_exit``
-  events so lock-region tracking sees both boundaries; ``async`` nodes
+* A ``with``/``async with`` header is one ``test`` event carrying the
+  ``With`` node, followed by its body's events; ``async`` nodes
   (``await``, ``async for``, ``async with``) stay inside their events
   for the atomicity rule to inspect.
 
@@ -44,8 +44,6 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 #: Event kinds, in the order an executing statement produces them.
 EVENT_STMT = "stmt"
 EVENT_TEST = "test"
-EVENT_WITH_ENTER = "with_enter"
-EVENT_WITH_EXIT = "with_exit"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,10 +270,8 @@ class _Builder:
         self.current = after
 
     def _visit_with(self, stmt: Union[ast.With, ast.AsyncWith]) -> None:
-        self._append(Event(EVENT_WITH_ENTER, stmt))
+        self._append(Event(EVENT_TEST, stmt))
         self._visit_body(stmt.body)
-        if self.current is not None:
-            self._append(Event(EVENT_WITH_EXIT, stmt))
 
     def _visit_raise(self, stmt: ast.Raise) -> None:
         self._append(Event(EVENT_STMT, stmt))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import json
 import os
 from pathlib import Path, PurePosixPath
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -14,9 +13,6 @@ from repro.lint.rules_flow import FLOW_RULES
 
 #: The full registry, in rule-code order.
 ALL_RULES: Tuple[Rule, ...] = BASE_RULES + FLOW_RULES
-
-#: Schema version of the JSON report (bump on incompatible change).
-JSON_SCHEMA_VERSION = 1
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterable[Path]:
@@ -33,17 +29,6 @@ def iter_python_files(paths: Sequence[str]) -> Iterable[Path]:
             if key not in seen:
                 seen.add(key)
                 yield candidate
-
-
-def select_rules(codes: Optional[Sequence[str]] = None) -> Tuple[Rule, ...]:
-    """The rule instances to run (all by default)."""
-    if not codes:
-        return ALL_RULES
-    wanted = {code.strip().upper() for code in codes}
-    unknown = wanted - {rule.code for rule in ALL_RULES}
-    if unknown:
-        raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-    return tuple(rule for rule in ALL_RULES if rule.code in wanted)
 
 
 def lint_source(
@@ -77,11 +62,13 @@ def lint_source(
         ]
     suppressions = parse_suppressions(source)
     findings: List[Finding] = []
-    for lineno in suppressions.unjustified:
+    for pragma in suppressions.pragmas:
+        if pragma.justified:
+            continue
         findings.append(
             Finding(
                 path=path,
-                line=lineno,
+                line=pragma.line,
                 col=1,
                 code="RL005",
                 message="suppression pragma lacks a '--' justification",
@@ -169,41 +156,17 @@ def lint_paths(
     return findings
 
 
-def format_report(findings: Sequence[Finding], show_hints: bool = True) -> str:
+def format_report(findings: Sequence[Finding]) -> str:
     """Human-readable report: one line per finding plus a summary."""
-    lines = [finding.format(show_hint=show_hints) for finding in findings]
+    lines = [finding.format() for finding in findings]
     if findings:
+        by_code: Dict[str, int] = {}
+        for finding in findings:
+            by_code[finding.code] = by_code.get(finding.code, 0) + 1
         summary = ", ".join(
-            f"{code}: {count}" for code, count in sorted(_by_code(findings).items())
+            f"{code}: {count}" for code, count in sorted(by_code.items())
         )
         lines.append(f"reprolint: {len(findings)} finding(s) ({summary})")
     else:
         lines.append("reprolint: clean")
     return "\n".join(lines)
-
-
-def format_json_report(findings: Sequence[Finding]) -> str:
-    """Machine-readable report (schema documented in docs/static_analysis.md).
-
-    Deterministic: findings keep engine order (path, line, col, code) and
-    keys are sorted, so two runs over the same tree render byte-identical
-    reports.
-    """
-    payload = {
-        "schema": "reprolint-report",
-        "version": JSON_SCHEMA_VERSION,
-        "findings": [finding.to_dict() for finding in findings],
-        "summary": {
-            "total": len(findings),
-            "by_code": _by_code(findings),
-            "clean": not findings,
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _by_code(findings: Sequence[Finding]) -> Dict[str, int]:
-    by_code: Dict[str, int] = {}
-    for finding in findings:
-        by_code[finding.code] = by_code.get(finding.code, 0) + 1
-    return by_code

@@ -7,11 +7,6 @@ as live pragmas of *this* file)::
 
     t0 = time.time()  # reprolint: disable=RL0xx -- reporting-only timer
 
-or for a whole file by placing the pragma on a comment-only line within
-the first ten lines of the file::
-
-    # reprolint: disable-file=RL0xx -- this module IS the unit table
-
 The text after ``--`` is the justification; a pragma carrying no
 justification is itself reported (RL005), so suppressions stay
 reviewable.  The engine also tracks which pragmas actually matched a
@@ -23,17 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 #: Matches one pragma occurrence anywhere in a physical line.
 _PRAGMA_RE = re.compile(
-    r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*"
+    r"#\s*reprolint:\s*disable\s*=\s*"
     r"(?P<codes>[A-Za-z0-9_,\s]+?)"
     r"(?:\s*--\s*(?P<why>.*))?$"
 )
-
-#: How many leading lines may carry a file-level pragma.
-_FILE_PRAGMA_WINDOW = 10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,22 +39,11 @@ class Finding:
     message: str
     hint: str = ""
 
-    def format(self, show_hint: bool = True) -> str:
+    def format(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-        if show_hint and self.hint:
+        if self.hint:
             text += f"  [fix: {self.hint}]"
         return text
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready mapping (stable key set; see docs/static_analysis.md)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,28 +52,18 @@ class Pragma:
 
     #: Physical line the pragma text sits on.
     line: int
-    #: ``disable`` or ``disable-file``.
-    kind: str
     codes: Tuple[str, ...]
     justified: bool
 
 
 @dataclasses.dataclass(frozen=True)
 class Suppressions:
-    """Parsed pragmas of one file: per-line and file-wide disabled codes."""
+    """Parsed pragmas of one file."""
 
-    by_line: Dict[int, FrozenSet[str]]
-    file_wide: FrozenSet[str]
-    #: Lines whose pragma carried no ``-- justification`` text.
-    unjustified: Tuple[int, ...]
     #: Every pragma, in source order (indices identify them in ``match``).
-    pragmas: Tuple[Pragma, ...] = ()
-    #: Effective line -> indices into ``pragmas`` covering that line.
-    line_pragmas: Dict[int, Tuple[int, ...]] = dataclasses.field(
-        default_factory=dict
-    )
-    #: Indices into ``pragmas`` that act file-wide.
-    file_pragmas: Tuple[int, ...] = ()
+    pragmas: Tuple[Pragma, ...]
+    #: Line -> indices into ``pragmas`` covering that line.
+    by_line: Dict[int, Tuple[int, ...]]
 
     def match(self, finding: Finding) -> List[Tuple[int, str]]:
         """``(pragma_index, code)`` pairs that suppress ``finding``.
@@ -102,9 +73,7 @@ class Suppressions:
         their keep when hunting stale suppressions.
         """
         hits: List[Tuple[int, str]] = []
-        candidates = list(self.file_pragmas)
-        candidates += list(self.line_pragmas.get(finding.line, ()))
-        for index in candidates:
+        for index in self.by_line.get(finding.line, ()):
             pragma = self.pragmas[index]
             if finding.code in pragma.codes:
                 hits.append((index, finding.code))
@@ -112,28 +81,17 @@ class Suppressions:
                 hits.append((index, "ALL"))
         return hits
 
-    def is_suppressed(self, finding: Finding) -> bool:
-        if "ALL" in self.file_wide or finding.code in self.file_wide:
-            return True
-        codes = self.by_line.get(finding.line, frozenset())
-        return "ALL" in codes or finding.code in codes
-
 
 def parse_suppressions(source: str) -> Suppressions:
     """Extract every ``reprolint`` pragma from ``source``.
 
-    Line pragmas apply to their own physical line; a pragma on a
-    comment-only line also covers the next line, so a finding on a long
-    statement can carry its justification above it.
+    Pragmas apply to their own physical line; a pragma on a comment-only
+    line also covers the next line, so a finding on a long statement can
+    carry its justification above it.
     """
-    by_line: Dict[int, Set[str]] = {}
-    file_wide: Set[str] = set()
-    unjustified: List[int] = []
     pragmas: List[Pragma] = []
-    line_pragmas: Dict[int, List[int]] = {}
-    file_pragmas: List[int] = []
-    lines = source.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    by_line: Dict[int, List[int]] = {}
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         match = _PRAGMA_RE.search(raw)
         if match is None:
             continue
@@ -144,40 +102,18 @@ def parse_suppressions(source: str) -> Suppressions:
         )
         if not codes:
             continue
-        why = (match.group("why") or "").strip()
-        if not why:
-            unjustified.append(lineno)
-        kind = match.group(1)
-        comment_only = raw.lstrip().startswith("#")
         index = len(pragmas)
         pragmas.append(
             Pragma(
                 line=lineno,
-                kind=kind,
                 codes=tuple(sorted(codes)),
-                justified=bool(why),
+                justified=bool((match.group("why") or "").strip()),
             )
         )
-        if kind == "disable-file":
-            if lineno <= _FILE_PRAGMA_WINDOW and comment_only:
-                file_wide |= codes
-                file_pragmas.append(index)
-            else:  # misplaced file pragma degrades to a line pragma
-                by_line.setdefault(lineno, set()).update(codes)
-                line_pragmas.setdefault(lineno, []).append(index)
-            continue
-        by_line.setdefault(lineno, set()).update(codes)
-        line_pragmas.setdefault(lineno, []).append(index)
-        if comment_only:
-            by_line.setdefault(lineno + 1, set()).update(codes)
-            line_pragmas.setdefault(lineno + 1, []).append(index)
+        by_line.setdefault(lineno, []).append(index)
+        if raw.lstrip().startswith("#"):
+            by_line.setdefault(lineno + 1, []).append(index)
     return Suppressions(
-        by_line={line: frozenset(codes) for line, codes in by_line.items()},
-        file_wide=frozenset(file_wide),
-        unjustified=tuple(unjustified),
         pragmas=tuple(pragmas),
-        line_pragmas={
-            line: tuple(indices) for line, indices in line_pragmas.items()
-        },
-        file_pragmas=tuple(file_pragmas),
+        by_line={line: tuple(indices) for line, indices in by_line.items()},
     )

@@ -77,6 +77,74 @@ def _in_packages(path: PurePosixPath, packages: Sequence[str]) -> bool:
     return len(parts) >= 2 and parts[1] in packages
 
 
+#: The one units table of RL002 and RL008: the unit of each repro.units
+#: constant (``8 * MS`` is a magnitude times a named unit) and of each
+#: repro.units helper's return value.  ``1`` is dimensionless.
+UNITS: Dict[str, str] = {
+    "KBIT": "bits",
+    "MBIT": "bits",
+    "GBIT": "bits",
+    "BYTE": "bits",
+    "KBYTE": "bits",
+    "CELL_BITS": "bits",
+    "CELL_PAYLOAD_BITS": "bits",
+    "CELL_BYTES": "bytes",
+    "CELL_PAYLOAD_BYTES": "bytes",
+    "FDDI_MAX_FRAME_BYTES": "bytes",
+    "MS": "s",
+    "US": "s",
+    "NS": "s",
+    "MS_PER_S": "1",
+    "US_PER_S": "1",
+    "mbps": "bits/s",
+    "kbps": "bits/s",
+    "milliseconds": "s",
+    "microseconds": "s",
+    "bytes_to_bits": "bits",
+    "bits_to_bytes": "bytes",
+    "seconds_to_ms": "ms",
+}
+
+#: Whole variable names with a conventional unit in this codebase.
+NAME_UNITS: Dict[str, str] = {
+    "ttrt": "s",
+    "deadline": "s",
+    "latency": "s",
+    "timeout": "s",
+    "propagation_delay": "s",
+    "bandwidth": "bits/s",
+    "rate": "bits/s",
+}
+
+#: Variable-name suffixes and the unit each promises.
+SUFFIX_UNITS: Dict[str, str] = {
+    "_s": "s",
+    "_sec": "s",
+    "_secs": "s",
+    "_seconds": "s",
+    "_delay": "s",
+    "_deadline": "s",
+    "_ms": "ms",
+    "_us": "us",
+    "_ns": "ns",
+    "_bits": "bits",
+    "_bytes": "bytes",
+    "_bps": "bits/s",
+}
+
+
+def unit_of_name(name: str) -> Optional[str]:
+    """The unit a variable name promises: a whole-name convention, else
+    its longest unit suffix, else None."""
+    lowered = name.lower()
+    if lowered in NAME_UNITS:
+        return NAME_UNITS[lowered]
+    suffixes = [suffix for suffix in SUFFIX_UNITS if lowered.endswith(suffix)]
+    if not suffixes:
+        return None
+    return SUFFIX_UNITS[max(suffixes, key=len)]
+
+
 class _ImportMap(ast.NodeVisitor):
     """Alias resolution for the modules the determinism rule cares about."""
 
@@ -126,7 +194,7 @@ class _ImportMap(ast.NodeVisitor):
 
 
 class DeterminismRule(Rule):
-    """RL001 — no wall-clock or module-level RNG state in simulation code.
+    """RL001 — no wall-clock or module-level RNG state outside the service.
 
     Every stochastic choice must route through
     :class:`repro.sim.random.RandomStreams` (or an injected
@@ -137,7 +205,7 @@ class DeterminismRule(Rule):
     name = "determinism"
     description = (
         "forbid time.time/datetime.now and module-level random/np.random "
-        "state in simulation packages"
+        "state outside repro.service and repro.lint"
     )
     autofix_hint = (
         "route randomness through repro.sim.random.RandomStreams or an "
@@ -145,7 +213,9 @@ class DeterminismRule(Rule):
         "reporting-only timers"
     )
 
-    PACKAGES = ("sim", "fddi", "atm", "interface_device", "faults", "core")
+    #: Packages that read the clock on purpose: the standing service
+    #: (deadlines, latency metrics) and the linter itself.
+    EXEMPT_PACKAGES = ("service", "lint")
     #: time.* attributes that read the wall clock.
     FORBIDDEN_TIME = frozenset(
         {"time", "time_ns", "monotonic", "monotonic_ns", "localtime", "gmtime"}
@@ -164,7 +234,7 @@ class DeterminismRule(Rule):
         rel = _module_relpath(path)
         if rel is None or str(rel) == "repro/sim/random.py":
             return False
-        return _in_packages(path, self.PACKAGES)
+        return not _in_packages(path, self.EXEMPT_PACKAGES)
 
     def check(
         self,
@@ -250,6 +320,7 @@ class UnitDisciplineRule(Rule):
     ms/us or bits and Mbits) used as a multiplication/division operand;
     (b) *suffix mismatches* — a variable named ``*_ms`` assigned from a
     helper that returns seconds, ``*_bits`` from one returning bytes, etc.
+    Both checks read the shared :data:`UNITS` table.
     """
 
     code = "RL002"
@@ -267,51 +338,8 @@ class UnitDisciplineRule(Rule):
     SMELL_LITERALS = frozenset(
         {8, 53, 48, 424, 1000, 1_000_000, 1e3, 1e6, 1e9, 1e-3, 1e-6}
     )
-    #: What each repro.units helper *returns*.
-    HELPER_DIMENSION = {
-        "mbps": "bits/s",
-        "kbps": "bits/s",
-        "milliseconds": "s",
-        "microseconds": "s",
-        "bytes_to_bits": "bits",
-        "bits_to_bytes": "bytes",
-        "seconds_to_ms": "ms",
-    }
-    #: What a name suffix promises.
-    SUFFIX_DIMENSION = {
-        "_ms": "ms",
-        "_us": "us",
-        "_ns": "ns",
-        "_s": "s",
-        "_sec": "s",
-        "_seconds": "s",
-        "_bits": "bits",
-        "_bytes": "bytes",
-        "_bps": "bits/s",
-    }
     #: Files allowed to spell conversions inline: the unit table itself.
     EXEMPT = frozenset({"repro/units.py"})
-    #: Constants from repro.units: ``8 * MS`` is the sanctioned
-    #: "magnitude times named unit" idiom, not a conversion smell.
-    UNITS_CONSTANTS = frozenset(
-        {
-            "KBIT",
-            "MBIT",
-            "GBIT",
-            "BYTE",
-            "KBYTE",
-            "MS",
-            "US",
-            "NS",
-            "MS_PER_S",
-            "US_PER_S",
-            "CELL_BYTES",
-            "CELL_PAYLOAD_BYTES",
-            "CELL_BITS",
-            "CELL_PAYLOAD_BITS",
-            "FDDI_MAX_FRAME_BYTES",
-        }
-    )
 
     def applies_to(self, path: PurePosixPath) -> bool:
         rel = _module_relpath(path)
@@ -355,9 +383,9 @@ class UnitDisciplineRule(Rule):
 
     def _is_units_constant(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Name):
-            return node.id in self.UNITS_CONSTANTS
+            return node.id in UNITS
         if isinstance(node, ast.Attribute):
-            return node.attr in self.UNITS_CONSTANTS
+            return node.attr in UNITS
         return False
 
     def _is_smell_literal(self, node: ast.AST) -> bool:
@@ -381,31 +409,19 @@ class UnitDisciplineRule(Rule):
                 out.append((target.attr, target))
         return out
 
-    def _suffix_of(self, name: str) -> Optional[str]:
-        lowered = name.lower()
-        best = None
-        for suffix in self.SUFFIX_DIMENSION:
-            if lowered.endswith(suffix):
-                if best is None or len(suffix) > len(best):
-                    best = suffix
-        return best
-
     def _check_suffix(self, node: ast.AST, path: str) -> Iterable[Finding]:
         value = node.value  # type: ignore[attr-defined]
         if not (
             isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
         ):
             return []
-        returned = self.HELPER_DIMENSION.get(value.func.id)
+        returned = UNITS.get(value.func.id)
         if returned is None:
             return []
         out = []
         for name, target in self._target_names(node):
-            suffix = self._suffix_of(name)
-            if suffix is None:
-                continue
-            expected = self.SUFFIX_DIMENSION[suffix]
-            if expected != returned:
+            expected = unit_of_name(name)
+            if expected is not None and expected != returned:
                 out.append(
                     self.finding(
                         path,

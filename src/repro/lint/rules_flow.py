@@ -14,17 +14,16 @@ RL006 (transactionality)
 
 RL007 (asyncio atomicity)
     In ``repro.service``, shared ``self`` state read before an
-    ``await`` and written after it is a lost-update race unless a lock
-    is held across the suspension — every other task on the loop can
-    run in between.  The rule tracks the held-lock set as dataflow
-    state (``async with <lock>``, manual ``acquire``/``release``) and
-    flags writes whose supporting read went stale across an unguarded
-    ``await``.
+    ``await`` and written after it is a lost-update race — every other
+    task on the loop can run in between.  Every suspension (``await``,
+    ``async for``, ``async with``) makes earlier reads stale; the rule
+    flags writes whose supporting read went stale.
 
 RL008 (dimension inference)
     Flow-sensitive dimension tracking (seconds, bits, bits/s,
-    dimensionless) seeded from :mod:`repro.units` constants/helpers and
-    name suffixes, propagated through assignment and arithmetic.
+    dimensionless) seeded from the units table RL002 also reads
+    (:data:`repro.lint.rules.UNITS`, :func:`repro.lint.rules.unit_of_name`),
+    propagated through assignment and arithmetic.
     Definite cross-dimension ``+``/``-``/comparisons are flagged;
     RL002's lexical checks stay on as the fallback where inference is
     inconclusive (magic literals carry no inferable dimension).
@@ -54,8 +53,6 @@ from typing import (
 from repro.lint.cfg import (
     EVENT_STMT,
     EVENT_TEST,
-    EVENT_WITH_ENTER,
-    EVENT_WITH_EXIT,
     FunctionNode,
     build_cfg,
     contains_await,
@@ -64,7 +61,13 @@ from repro.lint.cfg import (
 )
 from repro.lint.dataflow import Analysis, Event, replay, run_forward
 from repro.lint.findings import Finding
-from repro.lint.rules import Rule, _flatten_targets, _module_relpath
+from repro.lint.rules import (
+    UNITS,
+    Rule,
+    _flatten_targets,
+    _module_relpath,
+    unit_of_name,
+)
 
 # ---------------------------------------------------------------------------
 # Shared expression helpers
@@ -123,7 +126,6 @@ MUTATOR_METHODS = frozenset(
         "attach_link",
         "attach_uplink",
         "clear",
-        "commit_admit",
         "discard",
         "extend",
         "fail_link",
@@ -389,88 +391,55 @@ class TransactionalityRule(Rule):
 #: Attribute-name fragments identifying synchronization primitives;
 #: reads/writes of these are coordination, not shared data.
 _SYNC_ATTR_RE = re.compile(r"lock|mutex|sem|wake|event|cond|future")
-#: Chain segments that *are* a lock (for held-set tracking).
-_LOCK_NAME_RE = re.compile(r"(lock|mutex|sem|semaphore)$")
 
-#: RL007 state: (held locks, read facts).  ``locks`` is a must-hold set
-#: (joined by intersection); a fact ``(key, line, stale)`` records a
-#: read of shared ``self`` state, marked stale once an ``await``
-#: suspends with no lock held at all.
-_AtomState = Tuple[FrozenSet[str], FrozenSet[Tuple[str, int, bool]]]
-
-
-def _is_lock_chain(chain: Optional[Sequence[str]]) -> bool:
-    return chain is not None and bool(
-        _LOCK_NAME_RE.search(chain[-1].lower())
-    )
+#: RL007 state: read facts ``(key, line, stale)`` of shared ``self``
+#: state; a fact goes stale once a suspension follows the read.
+_AtomState = FrozenSet[Tuple[str, int, bool]]
 
 
 def _is_sync_chain(chain: Sequence[str]) -> bool:
     return any(_SYNC_ATTR_RE.search(part.lower()) for part in chain[1:])
 
 
+def _evaluated(node: ast.AST) -> List[ast.AST]:
+    """What runs at ``node``'s event: a ``with`` header evaluates its
+    context managers (its body has events of its own)."""
+    if isinstance(node, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in node.items]
+    return [node]
+
+
 class _AtomAnalysis(Analysis[_AtomState]):
     def initial_state(self) -> _AtomState:
-        return (frozenset(), frozenset())
+        return frozenset()
 
     def join(self, a: _AtomState, b: _AtomState) -> _AtomState:
-        return (a[0] & b[0], a[1] | b[1])
+        return a | b
 
-    # -- event decomposition -------------------------------------------
-
-    def transfer(self, state: _AtomState, event: Event) -> _AtomState:
-        locks, facts = state
+    def transfer(self, facts: _AtomState, event: Event) -> _AtomState:
+        # Reads, then suspension, then writes — the order the
+        # interpreter visits them in the common patterns.
         node = event.node
-        if event.kind == EVENT_WITH_ENTER:
-            if isinstance(node, ast.AsyncWith):
-                locks, facts = self._suspend(locks, facts)
-            for item in node.items:  # type: ignore[attr-defined]
-                chain = dotted_chain(item.context_expr)
-                if _is_lock_chain(chain):
-                    locks = locks | {chain_key(chain)}  # type: ignore[arg-type]
-            return (locks, facts)
-        if event.kind == EVENT_WITH_EXIT:
-            for item in node.items:  # type: ignore[attr-defined]
-                chain = dotted_chain(item.context_expr)
-                if _is_lock_chain(chain):
-                    locks = locks - {chain_key(chain)}  # type: ignore[arg-type]
-            return (locks, facts)
-
-        # Generic statement/test: reads, then suspension, then writes —
-        # the order the interpreter visits them in the common patterns.
-        for key, line in self._reads(node):
+        parts = _evaluated(node)
+        for key, line in self._reads(parts):
             facts = facts | {(key, line, False)}
-        if isinstance(node, ast.AsyncFor) or contains_await(node):
-            locks, facts = self._suspend(locks, facts)
-        for acquired in self._lock_acquires(node):
-            locks = locks | {acquired}
-        for released in self._lock_releases(node):
-            locks = locks - {released}
-        for key, _node in self._writes(node):
+        if isinstance(node, (ast.AsyncFor, ast.AsyncWith)) or any(
+            contains_await(part) for part in parts
+        ):
+            facts = frozenset((key, line, True) for key, line, _ in facts)
+        for key, _node in self._writes(parts):
             facts = frozenset(f for f in facts if not _same_family(f[0], key))
-        return (locks, facts)
-
-    @staticmethod
-    def _suspend(
-        locks: FrozenSet[str], facts: FrozenSet[Tuple[str, int, bool]]
-    ) -> Tuple[FrozenSet[str], FrozenSet[Tuple[str, int, bool]]]:
-        """An ``await`` ran.  With no lock held at all, every live read
-        goes stale; with any lock held we assume a locking protocol
-        guards the state it reads (e.g. a coarse lock handed down to a
-        finer one before suspending)."""
-        if locks:
-            return locks, facts
-        return locks, frozenset((key, line, True) for key, line, _ in facts)
+        return facts
 
     # -- node scanning -------------------------------------------------
 
     @staticmethod
-    def _reads(node: ast.AST) -> List[Tuple[str, int]]:
+    def _reads(parts: Sequence[ast.AST]) -> List[Tuple[str, int]]:
         """Shared-state reads: ``self``-rooted attribute chains in Load
         context, excluding sync primitives, bare-method calls and bound-
         method references."""
         out: List[Tuple[str, int]] = []
-        nodes = walk_in_function(node)
+        nodes = [child for part in parts for child in walk_in_function(part)]
         call_funcs = {
             id(child.func) for child in nodes if isinstance(child, ast.Call)
         }
@@ -505,11 +474,11 @@ class _AtomAnalysis(Analysis[_AtomState]):
         return sorted(set(out))
 
     @staticmethod
-    def _writes(node: ast.AST) -> List[Tuple[str, ast.AST]]:
+    def _writes(parts: Sequence[ast.AST]) -> List[Tuple[str, ast.AST]]:
         """Shared-state writes: stores/deletes through ``self``-rooted
         chains and mutator-method calls on them."""
         out: List[Tuple[str, ast.AST]] = []
-        for child in walk_in_function(node):
+        for child in (c for part in parts for c in walk_in_function(part)):
             if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = (
                     list(child.targets)
@@ -557,40 +526,14 @@ class _AtomAnalysis(Analysis[_AtomState]):
                 out.append((chain_key(base), child))
         return out
 
-    @staticmethod
-    def _lock_acquires(node: ast.AST) -> List[str]:
-        out = []
-        for child in walk_in_function(node):
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "acquire"
-            ):
-                chain = dotted_chain(child.func.value)
-                if _is_lock_chain(chain):
-                    out.append(chain_key(chain))  # type: ignore[arg-type]
-        return out
-
-    @staticmethod
-    def _lock_releases(node: ast.AST) -> List[str]:
-        out = []
-        for child in walk_in_function(node):
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "release"
-            ):
-                chain = dotted_chain(child.func.value)
-                if _is_lock_chain(chain):
-                    out.append(chain_key(chain))  # type: ignore[arg-type]
-        return out
-
 
 class AsyncAtomicityRule(Rule):
     """RL007 — reads-then-writes of shared service state across ``await``.
 
-    An ``await`` with no lock held yields the event loop; state read
-    before it can be changed by any other task before the write lands.
+    An ``await`` yields the event loop; state read before it can be
+    changed by any other task before the write lands.  The service runs
+    no locks, so the rule assumes none: every suspension makes earlier
+    reads stale, erring toward flagging.
     """
 
     code = "RL007"
@@ -600,8 +543,8 @@ class AsyncAtomicityRule(Rule):
         "supporting read crossed an unguarded await"
     )
     autofix_hint = (
-        "hold the guarding lock across the read and write, or claim the "
-        "value into a local (write self before the await) and use that"
+        "claim the value into a local (write self before the await) and "
+        "use that, or re-read the state after the await"
     )
 
     def applies_to(self, path: PurePosixPath) -> bool:
@@ -629,13 +572,11 @@ class AsyncAtomicityRule(Rule):
         findings: List[Finding] = []
         seen: Set[Tuple[int, str]] = set()
 
-        def visit(state: _AtomState, event: Event) -> None:
-            if event.kind in (EVENT_WITH_ENTER, EVENT_WITH_EXIT):
-                return
-            _locks, facts = state
+        def visit(facts: _AtomState, event: Event) -> None:
             # Reads recorded by this very statement are not yet stale;
             # only prior facts can flag its writes.
-            for key, write_node in _AtomAnalysis._writes(event.node):
+            writes = _AtomAnalysis._writes(_evaluated(event.node))
+            for key, write_node in writes:
                 stale = sorted(
                     (line, fkey)
                     for fkey, line, is_stale in facts
@@ -674,61 +615,16 @@ DIM_UNKNOWN = "?"
 
 _DEFINITE = (DIM_TIME, DIM_DATA, DIM_RATE)
 
-#: repro.units constants -> dimension.
-CONST_DIM: Dict[str, str] = {
-    "KBIT": DIM_DATA,
-    "MBIT": DIM_DATA,
-    "GBIT": DIM_DATA,
-    "BYTE": DIM_DATA,
-    "KBYTE": DIM_DATA,
-    "CELL_BYTES": DIM_DATA,
-    "CELL_PAYLOAD_BYTES": DIM_DATA,
-    "CELL_BITS": DIM_DATA,
-    "CELL_PAYLOAD_BITS": DIM_DATA,
-    "FDDI_MAX_FRAME_BYTES": DIM_DATA,
-    "MS": DIM_TIME,
-    "US": DIM_TIME,
-    "NS": DIM_TIME,
-    "MS_PER_S": DIM_SCALAR,
-    "US_PER_S": DIM_SCALAR,
-}
-
-#: repro.units helpers -> dimension of their return value.
-HELPER_DIM: Dict[str, str] = {
-    "mbps": DIM_RATE,
-    "kbps": DIM_RATE,
-    "milliseconds": DIM_TIME,
-    "microseconds": DIM_TIME,
-    "seconds_to_ms": DIM_TIME,
-    "bytes_to_bits": DIM_DATA,
-    "bits_to_bytes": DIM_DATA,
-}
-
-#: Name suffixes -> promised dimension (longest suffix wins).
-SUFFIX_DIM: Dict[str, str] = {
-    "_s": DIM_TIME,
-    "_sec": DIM_TIME,
-    "_secs": DIM_TIME,
-    "_seconds": DIM_TIME,
-    "_ms": DIM_TIME,
-    "_us": DIM_TIME,
-    "_ns": DIM_TIME,
-    "_delay": DIM_TIME,
-    "_deadline": DIM_TIME,
-    "_bits": DIM_DATA,
-    "_bytes": DIM_DATA,
-    "_bps": DIM_RATE,
-}
-
-#: Whole names with a conventional dimension in this codebase.
-EXACT_NAME_DIM: Dict[str, str] = {
-    "ttrt": DIM_TIME,
-    "deadline": DIM_TIME,
-    "latency": DIM_TIME,
-    "timeout": DIM_TIME,
-    "propagation_delay": DIM_TIME,
-    "bandwidth": DIM_RATE,
-    "rate": DIM_RATE,
+#: The units table's units -> the coarse dimension RL008 tracks.
+DIM_OF_UNIT: Dict[str, str] = {
+    "s": DIM_TIME,
+    "ms": DIM_TIME,
+    "us": DIM_TIME,
+    "ns": DIM_TIME,
+    "bits": DIM_DATA,
+    "bytes": DIM_DATA,
+    "bits/s": DIM_RATE,
+    "1": DIM_SCALAR,
 }
 
 _PASSTHROUGH_CALLS = frozenset({"abs", "float", "min", "max", "sum"})
@@ -742,17 +638,7 @@ def _join_dim(a: str, b: str) -> str:
 
 def seed_dim(name: str) -> str:
     """The dimension a bare name promises by convention, if any."""
-    lowered = name.lower()
-    if lowered in EXACT_NAME_DIM:
-        return EXACT_NAME_DIM[lowered]
-    best: Optional[str] = None
-    for suffix, dim in SUFFIX_DIM.items():
-        if lowered.endswith(suffix):
-            if best is None or len(suffix) > len(best):
-                best = suffix
-    if best is not None:
-        return SUFFIX_DIM[best]
-    return DIM_UNKNOWN
+    return DIM_OF_UNIT.get(unit_of_name(name) or "", DIM_UNKNOWN)
 
 
 #: RL008 state: sorted (name, dimension) pairs for local names.
@@ -834,8 +720,8 @@ def dim_of(node: ast.AST, env: Dict[str, str]) -> str:
             return env[node.id]
         return seed_dim(node.id)
     if isinstance(node, ast.Attribute):
-        if node.attr in CONST_DIM:
-            return CONST_DIM[node.attr]
+        if node.attr in UNITS:
+            return DIM_OF_UNIT[UNITS[node.attr]]
         return seed_dim(node.attr)
     if isinstance(node, ast.UnaryOp) and isinstance(
         node.op, (ast.USub, ast.UAdd)
@@ -853,8 +739,8 @@ def dim_of(node: ast.AST, env: Dict[str, str]) -> str:
             name = node.func.id
         elif isinstance(node.func, ast.Attribute):
             name = node.func.attr
-        if name in HELPER_DIM:
-            return HELPER_DIM[name]
+        if name in UNITS:
+            return DIM_OF_UNIT[UNITS[name]]
         if name in _PASSTHROUGH_CALLS and node.args:
             dims = [dim_of(arg, env) for arg in node.args]
             out = dims[0]

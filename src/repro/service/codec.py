@@ -63,6 +63,14 @@ def is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _number(value: Any, field: str) -> float:
+    """``value`` as a float, or :class:`JournalError` unless it
+    :func:`is_number`."""
+    if not is_number(value):
+        raise JournalError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def dict_to_traffic(payload: Mapping[str, Any]) -> TrafficDescriptor:
     data = dict(payload)
     name = data.pop("type", None)
@@ -97,7 +105,7 @@ def dict_to_spec(payload: Mapping[str, Any]) -> ConnectionSpec:
             source_host=str(payload["source_host"]),
             dest_host=str(payload["dest_host"]),
             traffic=dict_to_traffic(payload["traffic"]),
-            deadline=float(payload["deadline"]),
+            deadline=_number(payload["deadline"], "deadline"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise JournalError(f"bad connection spec payload: {exc}") from None
@@ -155,9 +163,9 @@ def dict_to_record(payload: Mapping[str, Any]) -> ConnectionRecord:
         return ConnectionRecord(
             spec=dict_to_spec(payload["spec"]),
             route=dict_to_route(payload["route"]),
-            h_source=float(payload["h_source"]),
-            h_dest=float(payload["h_dest"]),
-            delay_bound=None if bound is None else float(bound),
+            h_source=_number(payload["h_source"], "h_source"),
+            h_dest=_number(payload["h_dest"], "h_dest"),
+            delay_bound=None if bound is None else _number(bound, "delay_bound"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise JournalError(f"bad connection record payload: {exc}") from None

@@ -14,7 +14,7 @@ class Service:
         if conn_id in self.state.active:
             return None
         await asyncio.sleep(0)
-        self.state.commit_admit(conn_id)
+        self.state.active.add(conn_id)
         return conn_id
 
     async def bump(self):

@@ -1,34 +1,20 @@
 """RL007 clean fixture: the sanctioned async idioms.
 
-* read-await-write under an ``async with`` lock;
-* manual ``acquire``/``release`` held across the suspension;
 * claim-then-await: the shared handle is nulled *before* the await, so
-  no stale read supports a later write.
+  no stale read supports a later write;
+* re-read after the await: the write rests on a read made after the
+  suspension, not before it.
 """
-
-import asyncio
 
 
 class Service:
-    async def admit(self, conn_id):
-        async with self._structure_lock:
-            if conn_id in self.state.active:
-                return None
-            await asyncio.sleep(0)
-            self.state.commit_admit(conn_id)
-        return conn_id
-
-    async def rebalance(self, shard):
-        await shard.lock.acquire()
-        try:
-            if self.state.total > 0:
-                await self._flush()
-                self.state.total = 0
-        finally:
-            shard.lock.release()
-
     async def stop(self):
         dispatcher = self._dispatcher
         self._dispatcher = None
         if dispatcher is not None:
             await dispatcher
+
+    async def bump(self):
+        await self._flush()
+        count = self.counters.total
+        self.counters.total = count + 1

@@ -6,8 +6,6 @@ import textwrap
 from repro.lint.cfg import (
     EVENT_STMT,
     EVENT_TEST,
-    EVENT_WITH_ENTER,
-    EVENT_WITH_EXIT,
     build_cfg,
     contains_await,
     function_defs,
@@ -236,7 +234,7 @@ class TestFinally:
 
 
 class TestWithEvents:
-    def test_with_produces_paired_events(self):
+    def test_with_header_is_one_test_event(self):
         cfg = cfg_of(
             """
             def f(lock):
@@ -244,9 +242,9 @@ class TestWithEvents:
                     x = 1
             """
         )
-        kinds = [e.kind for b in cfg.blocks.values() for e in b.events]
-        assert kinds.count(EVENT_WITH_ENTER) == 1
-        assert kinds.count(EVENT_WITH_EXIT) == 1
+        events = [e for b in cfg.blocks.values() for e in b.events]
+        assert [e.kind for e in events] == [EVENT_TEST, EVENT_STMT]
+        assert isinstance(events[0].node, ast.With)
 
 
 class TestHelpers:

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.lint import lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,10 +30,15 @@ class TestRL001Determinism:
         assert lint_fixture("rl001_good.py", "repro/sim/fixture.py") == []
 
     def test_out_of_scope_package_is_ignored(self):
-        findings = lint_fixture(
-            "rl001_bad.py", "repro/experiments/fixture.py"
-        )
+        findings = lint_fixture("rl001_bad.py", "repro/service/fixture.py")
         assert findings == []
+
+    def test_scenario_wall_clock_is_flagged(self):
+        source = "import time\nt0 = time.time()\n"
+        findings = lint_source(
+            source, "x.py", virtual_path="repro/scenario/shrink.py"
+        )
+        assert codes(findings) == ["RL001"]
 
     def test_random_streams_module_is_exempt(self):
         source = "import random\nx = random.getrandbits(8)\n"
@@ -155,15 +158,6 @@ class TestSuppressions:
         )
         assert lint_source(source, "s.py", virtual_path="repro/sim/s.py") == []
 
-    def test_file_wide_pragma(self):
-        source = (
-            "# reprolint: disable-file=RL001 -- scripted chaos module\n"
-            "import time\n"
-            "a = time.time()\n"
-            "b = time.time()\n"
-        )
-        assert lint_source(source, "s.py", virtual_path="repro/sim/s.py") == []
-
     def test_wrong_code_does_not_suppress(self):
         source = (
             "import time\n"
@@ -197,10 +191,3 @@ class TestFindingFormat:
         assert "rl003_bad.py:" in line
         assert "RL003" in line
         assert "[fix:" in line
-
-    def test_select_rules_rejects_unknown_codes(self):
-        from repro.lint import select_rules
-
-        with pytest.raises(ValueError):
-            select_rules(["RL999"])
-        assert [r.code for r in select_rules(["rl001"])] == ["RL001"]

@@ -1,11 +1,10 @@
 """Fixture-driven tests for the flow-aware rules (RL006-RL008)."""
 
-import json
 import shutil
 import textwrap
 from pathlib import Path
 
-from repro.lint import format_json_report, lint_paths, lint_source
+from repro.lint import lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -82,9 +81,42 @@ class TestRL007AsyncAtomicity:
         assert "self.counters.total" in messages
         assert "no lock held" in messages
 
-    def test_locked_and_claim_then_await_idioms_are_clean(self):
-        # async-with lock, manual acquire/release, claim-then-await
+    def test_claim_then_await_idioms_are_clean(self):
+        # claim-then-await, and re-reading the state after the await
         assert lint_fixture("rl007_good.py", "repro/service/fixture.py") == []
+
+    def test_a_held_lock_does_not_guard_the_read(self):
+        # The rule tracks no locks: every await stales earlier reads.
+        source = textwrap.dedent(
+            """
+            class S:
+                async def admit(self, conn_id):
+                    async with self._lock:
+                        if conn_id in self.state.active:
+                            return None
+                        await self._flush()
+                        self.state.active.add(conn_id)
+            """
+        )
+        findings = lint_source(
+            source, "x.py", virtual_path="repro/service/fixture.py"
+        )
+        assert codes(findings) == ["RL007"]
+
+    def test_async_with_suspends(self):
+        source = textwrap.dedent(
+            """
+            class S:
+                async def bump(self):
+                    count = self.counters.total
+                    async with self.session:
+                        self.counters.total = count + 1
+            """
+        )
+        findings = lint_source(
+            source, "x.py", virtual_path="repro/service/fixture.py"
+        )
+        assert codes(findings) == ["RL007"]
 
     def test_outside_service_package_is_ignored(self):
         findings = lint_fixture("rl007_bad.py", "repro/network/fixture.py")
@@ -97,7 +129,7 @@ class TestRL007AsyncAtomicity:
                 def admit(self, conn_id):
                     if conn_id in self.state.active:
                         return None
-                    self.state.commit_admit(conn_id)
+                    self.state.active.add(conn_id)
             """
         )
         findings = lint_source(
@@ -112,7 +144,7 @@ class TestRL007AsyncAtomicity:
                 async def admit(self, conn_id):
                     if conn_id in self.state.active:
                         return None
-                    self.state.commit_admit(conn_id)
+                    self.state.active.add(conn_id)
                     await self._flush()
             """
         )
@@ -159,37 +191,6 @@ class TestRL008DimensionInference:
         ]
 
 
-class TestJsonReport:
-    def test_schema_and_summary(self):
-        findings = lint_fixture("rl008_bad.py", "repro/core/fixture.py")
-        payload = json.loads(format_json_report(findings))
-        assert payload["schema"] == "reprolint-report"
-        assert payload["version"] == 1
-        assert payload["summary"]["total"] == 3
-        assert payload["summary"]["by_code"] == {"RL008": 3}
-        assert payload["summary"]["clean"] is False
-        first = payload["findings"][0]
-        assert set(first) == {"path", "line", "col", "code", "message", "hint"}
-
-    def test_report_is_byte_stable(self):
-        a = format_json_report(
-            lint_fixture("rl006_bad.py", "repro/network/topology.py")
-        )
-        b = format_json_report(
-            lint_fixture("rl006_bad.py", "repro/network/topology.py")
-        )
-        assert a == b
-        assert a.endswith("\n")
-
-    def test_empty_report_is_clean(self):
-        payload = json.loads(format_json_report([]))
-        assert payload["summary"] == {
-            "total": 0,
-            "by_code": {},
-            "clean": True,
-        }
-
-
 class TestDeterminism:
     def test_two_runs_over_src_are_identical(self):
         repo_src = str(Path(__file__).resolve().parents[2] / "src")
@@ -212,4 +213,3 @@ class TestDeterminism:
         second = lint_paths([str(tmp_path)])
         assert first and first == second
         assert codes(first) == ["RL006", "RL007", "RL008"]
-        assert format_json_report(first) == format_json_report(second)

@@ -81,3 +81,28 @@ def test_record_round_trip_is_bit_exact():
     assert repr(back.delay_bound) == repr(record.delay_bound)
     assert back.spec == record.spec
     assert back.route == record.route
+
+
+@pytest.mark.parametrize("value", [True, "0.09", None])
+def test_spec_deadline_must_be_a_number(value):
+    payload = spec_to_dict(
+        ConnectionSpec("s-1", "host1-1", "host2-2", TRAFFICS[0], 0.09)
+    )
+    payload["deadline"] = value
+    with pytest.raises(JournalError, match="deadline must be a number"):
+        dict_to_spec(payload)
+
+
+@pytest.mark.parametrize("field", ["h_source", "h_dest", "delay_bound"])
+@pytest.mark.parametrize("value", [True, "0.001"])
+def test_record_number_fields_must_be_numbers(field, value):
+    payload = record_to_dict(_admitted_record())
+    payload[field] = value
+    with pytest.raises(JournalError, match=f"{field} must be a number"):
+        dict_to_record(payload)
+
+
+def test_record_delay_bound_may_be_null():
+    payload = record_to_dict(_admitted_record())
+    payload["delay_bound"] = None
+    assert dict_to_record(payload).delay_bound is None
