@@ -15,11 +15,8 @@ import dataclasses
 import math
 from typing import Optional
 
-from repro.atm.switch import AtmSwitch
 from repro.errors import ConfigurationError
-from repro.fddi.ring import FDDIRing
 from repro.fddi.timed_token import MAX_FRAME_BITS
-from repro.interface_device.device import InterfaceDevice
 from repro.network.topology import NetworkTopology
 from repro.traffic.generators import WorkloadSpec
 from repro.units import MBIT, MS, US
@@ -293,56 +290,15 @@ class SimulationConfig:
 def build_network(config: Optional[NetworkConfig] = None) -> NetworkTopology:
     """Construct the paper's topology (Figure 1 instantiated for Section 6).
 
-    ``n_rings`` rings named ``ring1..ringN`` with hosts ``host<i>-<j>``,
-    one interface device ``id<i>`` per ring attached to switch ``s<i>``,
-    and backbone switches connected pairwise (a triangle for N=3 — every
-    inter-ring route crosses exactly one inter-switch link).
+    The reference pairwise mesh of :func:`repro.topo.generators.paper_triangle`
+    lowered through :meth:`repro.topo.spec.TopologySpec.build`: ``n_rings``
+    rings named ``ring1..ringN`` with hosts ``host<i>-<j>``, one interface
+    device ``id<i>`` per ring attached to switch ``s<i>``, and backbone
+    switches connected pairwise (a triangle for N=3 — every inter-ring
+    route crosses exactly one inter-switch link).
     """
+    # Local import: repro.topo.spec imports NetworkConfig from this module.
+    from repro.topo.generators import paper_triangle
+
     cfg = config if config is not None else NetworkConfig()
-    topo = NetworkTopology()
-    for i in range(1, cfg.n_rings + 1):
-        ring = FDDIRing(
-            ring_id=f"ring{i}",
-            ttrt=cfg.ttrt,
-            bandwidth=cfg.fddi_bandwidth,
-            overhead=cfg.ring_overhead,
-            propagation_delay=cfg.ring_propagation,
-        )
-        topo.add_ring(ring)
-        for j in range(1, cfg.hosts_per_ring + 1):
-            topo.add_host(f"host{i}-{j}", ring.ring_id)
-    for i in range(1, cfg.n_rings + 1):
-        topo.add_switch(
-            AtmSwitch(
-                f"s{i}",
-                fabric_delay=cfg.switch_fabric_delay,
-                port_buffer_bits=cfg.port_buffer_bits,
-                port_latency=cfg.port_latency,
-            )
-        )
-    for i in range(1, cfg.n_rings + 1):
-        device = InterfaceDevice(
-            device_id=f"id{i}",
-            ring_id=f"ring{i}",
-            input_port_delay=cfg.id_input_port_delay,
-            frame_switch_delay=cfg.id_frame_switch_delay,
-            frame_processing_delay=cfg.id_frame_processing_delay,
-            port_buffer_bits=cfg.port_buffer_bits,
-            port_latency=cfg.port_latency,
-        )
-        topo.add_device(
-            device,
-            switch_id=f"s{i}",
-            uplink_rate=cfg.atm_link_rate,
-            link_propagation=cfg.link_propagation,
-        )
-    for i in range(1, cfg.n_rings + 1):
-        for j in range(i + 1, cfg.n_rings + 1):
-            topo.connect_switches(
-                f"s{i}",
-                f"s{j}",
-                rate=cfg.atm_link_rate,
-                propagation_delay=cfg.link_propagation,
-            )
-    topo.validate()
-    return topo
+    return paper_triangle(cfg.n_rings, cfg.hosts_per_ring).build(cfg)

@@ -133,8 +133,24 @@ class AdmissionController:
             loads.append(candidate)
         return loads
 
-    def _add(self, record: ConnectionRecord) -> None:
-        """Make ``record`` active (its ledger grants are already charged)."""
+    def _grant(self, record: ConnectionRecord) -> None:
+        """Charge ``record``'s ring ledgers and make it active.
+
+        Transactional two-ring allocation: if the destination ring's
+        ledger refuses the grant, the source ring's half is rolled back,
+        so a refused grant can never leak synchronous bandwidth.
+        """
+        route = record.route
+        ring_s = self.topology.rings[route.source_ring]
+        ring_s.allocate(record.conn_id, record.h_source)
+        if route.crosses_backbone:
+            try:
+                self.topology.rings[route.dest_ring].allocate(
+                    record.conn_id, record.h_dest
+                )
+            except Exception:
+                ring_s.release(record.conn_id)
+                raise
         self.connections[record.conn_id] = record
         self._loads[record.conn_id] = ConnectionLoad(
             record.spec, record.route, record.h_source, record.h_dest
@@ -270,17 +286,7 @@ class AdmissionController:
             h_dest=h_r,
             delay_bound=reports[spec.conn_id].total_delay,
         )
-        # Transactional two-ring allocation: if the destination ring's
-        # ledger rejects the grant, the source ring's half is rolled back
-        # so a failed admission can never leak synchronous bandwidth.
-        ring_s.allocate(spec.conn_id, h_s)
-        if not local:
-            try:
-                ring_r.allocate(spec.conn_id, h_r)
-            except Exception:
-                ring_s.release(spec.conn_id)
-                raise
-        self._add(record)
+        self._grant(record)
         # Refresh every existing record's bound under the new load.
         for conn_id, report in reports.items():
             self.connections[conn_id].delay_bound = report.total_delay
@@ -309,11 +315,11 @@ class AdmissionController:
         The journal-replay / snapshot-load primitive of the standing
         service (:mod:`repro.service`): the allocation was already decided
         by a past ``request()``, so restoration only re-records it — the
-        ring ledgers are charged transactionally exactly as in
-        :meth:`_decide`, but no feasibility search runs.  ``route`` may be
-        supplied verbatim (a journaled route survives topology changes
-        that would make a recomputed route diverge); otherwise the route
-        is recomputed on the current topology.
+        ring ledgers are charged by the same transactional :meth:`_grant`
+        as in :meth:`_decide`, but no feasibility search runs.  ``route``
+        may be supplied verbatim (a journaled route survives topology
+        changes that would make a recomputed route diverge); otherwise the
+        route is recomputed on the current topology.
 
         Counters, history and the survivors' delay bounds are *not*
         touched: replay drives those explicitly (see
@@ -333,17 +339,7 @@ class AdmissionController:
             h_dest=h_dest,
             delay_bound=delay_bound,
         )
-        ring_s = self.topology.rings[record.route.source_ring]
-        ring_s.allocate(spec.conn_id, h_source)
-        if record.route.crosses_backbone:
-            try:
-                self.topology.rings[record.route.dest_ring].allocate(
-                    spec.conn_id, h_dest
-                )
-            except Exception:
-                ring_s.release(spec.conn_id)
-                raise
-        self._add(record)
+        self._grant(record)
         return record
 
     def set_analysis_config(self, analysis: AnalysisConfig) -> None:

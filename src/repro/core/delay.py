@@ -180,11 +180,6 @@ class DelayReport:
         """Sum of delays at hops whose name contains ``name_fragment``."""
         return sum(d for n, d in self.per_hop if name_fragment in n)
 
-    def hop_backlog(self, name_fragment: str) -> float:
-        """Max backlog among dedicated hops matching ``name_fragment``."""
-        matches = [b for n, b in self.per_hop_backlog if name_fragment in n]
-        return max(matches, default=0.0)
-
 
 @dataclasses.dataclass(frozen=True)
 class ResourceUsage:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import CACConfig, SimulationConfig
+from repro.config import CACConfig
 from repro.core.policies import AllocationPolicy, FDDILocalPolicy, MaxAvailPolicy
 from repro.experiments.common import (
     ExperimentSettings,
@@ -23,6 +23,7 @@ from repro.experiments.common import (
     mean_and_spread,
 )
 from repro.experiments.parallel import SimTask, run_sims
+from repro.scenario.loader import connection_sim_config
 from repro.sim.connection_sim import ConnectionSimConfig
 from repro.traffic.generators import WorkloadSpec
 
@@ -129,20 +130,12 @@ def run_workload_ablation(
 ) -> Dict[str, List[SeriesResult]]:
     """AP vs deadline tightness and vs burstiness at fixed load."""
     settings = settings or ExperimentSettings()
-    scale = settings.simulation_config().load_scale
 
     def task_for(workload: WorkloadSpec, seed: int) -> SimTask:
-        sim_cfg = SimulationConfig(workload=workload, load_scale=scale)
+        spec = settings.scenario(utilization, 0.5, seed)
+        arrivals = dataclasses.replace(spec.arrivals, workload=workload)
         return SimTask(
-            ConnectionSimConfig(
-                utilization=utilization,
-                beta=0.5,
-                seed=seed,
-                n_requests=settings.n_requests,
-                warmup_requests=settings.warmup_requests,
-                network=settings.network,
-                simulation=sim_cfg,
-            )
+            connection_sim_config(dataclasses.replace(spec, arrivals=arrivals))
         )
 
     tasks = [

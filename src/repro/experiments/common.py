@@ -5,12 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import (
-    AnalysisConfig,
-    CACConfig,
-    NetworkConfig,
-    SimulationConfig,
-)
+from repro.config import NetworkConfig, SimulationConfig
 from repro.scenario.spec import AnalysisKnobs, ArrivalsSpec, ScenarioSpec
 
 #: Offered-load calibration used by default (see SimulationConfig.load_scale
@@ -40,20 +35,6 @@ class ExperimentSettings:
         scale = CALIBRATED_LOAD_SCALE if self.calibrate_load else 1.0
         return SimulationConfig(load_scale=scale)
 
-    def cac_config(self, beta: float) -> Optional[CACConfig]:
-        """The CAC override for one sweep point (None in exact mode).
-
-        Returning ``None`` lets the simulator build its default
-        ``CACConfig(beta=beta)``, keeping exact-mode runs on the untouched
-        (bit-reproducible) code path.
-        """
-        if self.coarsen_segments is None:
-            return None
-        return CACConfig(
-            beta=beta,
-            analysis=AnalysisConfig(coarsen_segments=self.coarsen_segments),
-        )
-
     def scenario(
         self,
         utilization: float,
@@ -63,10 +44,9 @@ class ExperimentSettings:
     ) -> ScenarioSpec:
         """The :class:`ScenarioSpec` of one sweep point ``(U, beta, seed)``.
 
-        Every experiment builds its grid through this producer and runs it
-        via :func:`repro.scenario.loader.connection_sim_config`, which maps
-        a default-knob spec to the exact ``ConnectionSimConfig`` the
-        pre-spec code built by hand — figure CSVs stay byte-identical.
+        Every sweep except E4 (whose policy objects are not spec fields)
+        builds its grid through this producer and runs it via
+        :func:`repro.scenario.loader.connection_sim_config`.
         """
         scale = CALIBRATED_LOAD_SCALE if self.calibrate_load else 1.0
         return ScenarioSpec(

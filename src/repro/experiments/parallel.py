@@ -1,11 +1,13 @@
-"""Process-parallel execution of independent simulation runs.
+"""Process-parallel execution of independent runs: one pool, :func:`run_parallel`.
 
 Every experiment sweep (Figures 7/8, the ablations, the survivability
 study) is an embarrassingly parallel grid: each point runs one
 :class:`~repro.sim.connection_sim.ConnectionSimulator` with its own seeded
-random streams and no shared mutable state.  This module fans those runs
-out over worker processes while keeping the results **bit-identical** to a
-serial sweep:
+random streams and no shared mutable state (:func:`run_sims` maps those
+runs through :func:`run_parallel`; the scenario fuzzer and the corpus
+checker map their own work through it).  The pool fans runs out over
+worker processes while keeping the results **bit-identical** to a serial
+sweep:
 
 * each task carries a fully-specified, picklable ``ConnectionSimConfig``
   (and optionally a policy instance), so a worker reproduces exactly the
@@ -31,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import multiprocessing
-import os
 import pickle
 import traceback
 from typing import (
@@ -42,7 +43,6 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
-    Union,
 )
 
 from repro.core.policies import AllocationPolicy
@@ -90,82 +90,6 @@ class SimTask:
         return label
 
 
-def _run_task(task: SimTask) -> SimResult:
-    """Worker entry point (module-level so it pickles under spawn)."""
-    return ConnectionSimulator(task.config, policy=task.policy).run()
-
-
-#: (index, result) on success; (index, (exc name, message, traceback)) on
-#: failure — plain strings so every failure survives pickling.
-_SafeOutcome = Tuple[int, Union[SimResult, Tuple[str, str, str]]]
-
-
-def _run_task_safe(item: Tuple[int, SimTask]) -> _SafeOutcome:
-    """Worker entry point that ships failures back as data.
-
-    Catches ``BaseException``: a ``KeyboardInterrupt`` delivered to a
-    worker must surface as that cell's failure, not kill the pool from
-    within (the parent decides how to unwind).
-    """
-    index, task = item
-    try:
-        return index, _run_task(task)
-    except BaseException as exc:  # noqa: BLE001 — see docstring
-        return index, (type(exc).__name__, str(exc), traceback.format_exc())
-
-
-def default_jobs() -> int:
-    """A reasonable worker count: physical parallelism minus headroom."""
-    return max(1, (os.cpu_count() or 2) - 1)
-
-
-def run_sims(tasks: Sequence[SimTask], jobs: int = 1) -> List[SimResult]:
-    """Run every task and return their results *in task order*.
-
-    With ``jobs <= 1`` (or a single task) this is a plain loop.  Otherwise
-    the tasks are mapped over a process pool with ``chunksize=1`` — runs
-    in a sweep have very uneven durations (heavy-load points take far
-    longer), so fine-grained dispatch keeps the workers balanced.
-
-    Raises :class:`SweepCellError` when a worker fails, naming the cell;
-    terminates the pool on any error or interrupt instead of hanging.
-    """
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
-    try:
-        pickle.dumps(tasks)
-    except Exception:
-        return [_run_task(t) for t in tasks]
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    pool = ctx.Pool(processes=min(jobs, len(tasks)))
-    try:
-        outcomes = pool.map(_run_task_safe, list(enumerate(tasks)), chunksize=1)
-        pool.close()
-    except BaseException:
-        # Ctrl-C or a pool-machinery error: kill the workers before
-        # unwinding so the sweep never hangs on a half-dead pool.
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-
-    results: List[SimResult] = []
-    for index, outcome in outcomes:
-        if isinstance(outcome, tuple):
-            exc_name, message, tb = outcome
-            raise SweepCellError(
-                index, tasks[index].describe(), exc_name, message, tb
-            )
-        results.append(outcome)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Generic fan-out (scenario fuzzing, corpus validation, ...)
-# ----------------------------------------------------------------------
-
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
 
@@ -177,11 +101,16 @@ _TaggedOutcome = Tuple[int, Tuple[str, Any]]
 def _run_item_safe(
     fn: Callable[[Any], Any], item: Tuple[int, Any]
 ) -> _TaggedOutcome:
-    """Generic worker entry point; failures ship back as data."""
+    """Worker entry point; failures ship back as data.
+
+    Catches ``BaseException``: a ``KeyboardInterrupt`` delivered to a
+    worker must surface as that cell's failure, not kill the pool from
+    within (the parent decides how to unwind).
+    """
     index, payload = item
     try:
         return index, ("ok", fn(payload))
-    except BaseException as exc:  # noqa: BLE001 — same contract as above
+    except BaseException as exc:  # noqa: BLE001 — see docstring
         return index, (
             "err",
             (type(exc).__name__, str(exc), traceback.format_exc()),
@@ -194,12 +123,17 @@ def run_parallel(
     jobs: int = 1,
     describe: Callable[[_ItemT], str] = repr,
 ) -> List[_ResultT]:
-    """Map ``fn`` over ``items`` with :func:`run_sims`'s exact semantics,
-    for arbitrary picklable work (the scenario fuzzer's corpus fan-out).
+    """Map ``fn`` over ``items`` and return the results *in item order*.
 
-    Results come back in item order; ``jobs <= 1`` or unpicklable work
-    degrades to a serial loop; a worker failure raises
-    :class:`SweepCellError` naming the item via ``describe``.
+    With ``jobs <= 1`` (or a single item) this is a plain loop, and so is
+    work that cannot be pickled (e.g. a closure-built policy).  Otherwise
+    the items are mapped over a process pool with ``chunksize=1`` — runs
+    in a sweep have very uneven durations (heavy-load points take far
+    longer), so fine-grained dispatch keeps the workers balanced.
+
+    Raises :class:`SweepCellError` naming the item via ``describe`` when a
+    worker fails; terminates the pool on any error or interrupt instead
+    of hanging.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -233,3 +167,13 @@ def run_parallel(
             )
         results.append(payload)
     return results
+
+
+def _run_task(task: SimTask) -> SimResult:
+    """Worker entry point (module-level so it pickles under spawn)."""
+    return ConnectionSimulator(task.config, policy=task.policy).run()
+
+
+def run_sims(tasks: Sequence[SimTask], jobs: int = 1) -> List[SimResult]:
+    """Run every task through :func:`run_parallel`, results in task order."""
+    return run_parallel(_run_task, tasks, jobs, SimTask.describe)

@@ -1,7 +1,9 @@
 """Experiment E3: the analytic worst-case bound dominates observed delays.
 
-Admits a connection set through the CAC, then executes the data path with
-the packet-level simulator (greedy worst-case sources) and compares, per
+Builds a scenario spec of explicit connections, admits them through
+:func:`repro.scenario.loader.run_scenario`, then executes the data path
+with the packet-level simulator (greedy worst-case sources, via
+:func:`~repro.scenario.loader.run_packet_validation`) and compares, per
 connection, the observed maximum end-to-end delay against the analytic
 bound the CAC computed at admission time.  The bound must dominate; the
 ratio indicates how much of the bound's pessimism comes from worst-case
@@ -13,11 +15,14 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.config import CACConfig, NetworkConfig, build_network
-from repro.core.cac import AdmissionController
-from repro.core.delay import ConnectionLoad
-from repro.network.connection import ConnectionSpec
-from repro.sim.packet_sim import PacketLevelSimulator
+from repro.config import NetworkConfig
+from repro.scenario.loader import run_packet_validation, run_scenario
+from repro.scenario.spec import (
+    AnalysisKnobs,
+    ConnectionEntry,
+    PacketRunSpec,
+    ScenarioSpec,
+)
 from repro.units import MS_PER_S
 from repro.traffic import DualPeriodicTraffic
 
@@ -64,33 +69,37 @@ def run_validation(
     token whenever they wake from idle, which closes part of the gap
     between observation and bound.
     """
-    net_cfg = network or NetworkConfig()
-    topo = build_network(net_cfg)
-    cac = AdmissionController(topo, network_config=net_cfg, cac_config=CACConfig(beta=beta))
     traffic = DualPeriodicTraffic(c1=120_000.0, p1=0.015, c2=60_000.0, p2=0.005)
-    for i, (src, dst) in enumerate(pairs):
-        res = cac.request(ConnectionSpec(f"c{i}", src, dst, traffic, deadline))
-        if not res.admitted:
-            raise RuntimeError(f"validation setup failed to admit c{i}: {res.reason}")
-    loads = [
-        ConnectionLoad(r.spec, r.route, r.h_source, r.h_dest)
-        for r in cac.connections.values()
-    ]
-    result = PacketLevelSimulator(
-        topo, loads, network_config=net_cfg, adversarial_phase=adversarial_phase
-    ).run(duration)
-    rows = []
-    for cid, rec in sorted(cac.connections.items()):
-        rows.append(
-            ValidationRow(
-                conn_id=cid,
-                analytic_bound=rec.delay_bound,
-                observed_max=result.max_delay.get(cid, 0.0),
-                observed_mean=result.mean_delay.get(cid, 0.0),
-                batches=result.delivered_batches.get(cid, 0),
+    spec = ScenarioSpec(
+        name="validation",
+        topology=network or NetworkConfig(),
+        cac=AnalysisKnobs(beta=beta),
+        connections=tuple(
+            ConnectionEntry(f"c{i}", src, dst, traffic, deadline)
+            for i, (src, dst) in enumerate(pairs)
+        ),
+        packet=PacketRunSpec(
+            duration=duration, adversarial_phase=adversarial_phase
+        ),
+    )
+    outcome = run_scenario(spec)
+    for decision in outcome.explicit:
+        if not decision.admitted:
+            raise RuntimeError(
+                f"validation setup failed to admit {decision.conn_id}: "
+                f"{decision.reason}"
             )
+    result, bounds = run_packet_validation(outcome)
+    return [
+        ValidationRow(
+            conn_id=cid,
+            analytic_bound=bounds[cid],
+            observed_max=result.max_delay.get(cid, 0.0),
+            observed_mean=result.mean_delay.get(cid, 0.0),
+            batches=result.delivered_batches.get(cid, 0),
         )
-    return rows
+        for cid in sorted(bounds)
+    ]
 
 
 def main() -> str:

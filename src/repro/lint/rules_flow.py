@@ -173,7 +173,7 @@ TRANSACTIONAL_SCOPES: Dict[str, FrozenSet[str]] = {
             "restore_node",
         }
     ),
-    "repro/core/cac.py": frozenset({"_decide", "restore", "release"}),
+    "repro/core/cac.py": frozenset({"_decide", "_grant", "restore", "release"}),
     "repro/fddi/ring.py": frozenset({"allocate", "release"}),
     "repro/service/journal.py": frozenset(
         {"open_fresh", "open_for_append", "append", "write_snapshot"}

@@ -3,6 +3,8 @@
 Every consumer of a :class:`~repro.scenario.spec.ScenarioSpec` goes through
 this module:
 
+* :func:`build_topology` and :func:`cac_config` — the spec's network and
+  CAC config (what the service CLI restores and soaks against);
 * :func:`connection_sim_config` — the connection-level simulator's run
   config (what the experiments feed to
   :func:`repro.experiments.parallel.run_sims`);
@@ -17,10 +19,9 @@ this module:
 * :func:`run_packet_validation` — the packet-level simulator over the
   outcome's admitted set, for the sim-must-stay-below-bound invariant.
 
-The exact-mode path is deliberately identical to the pre-spec experiment
-code: a spec whose knobs are all defaults produces the very same
-``ConnectionSimConfig`` (``cac=None``) the experiments built by hand, so
-figure CSVs stay byte-identical.
+A spec whose knobs are all defaults lowers to ``CACConfig(beta=beta)``,
+the config the simulator and the analytic CAC use by default, so figure
+CSVs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import AnalysisConfig, CACConfig, build_network
+from repro.config import AnalysisConfig, CACConfig
 from repro.core.cac import AdmissionController, AdmissionResult
 from repro.core.delay import ConnectionLoad
 from repro.errors import ReproError, ScenarioSpecError
@@ -41,6 +42,7 @@ from repro.sim.connection_sim import (
     SimResult,
 )
 from repro.sim.packet_sim import PacketLevelSimulator, PacketSimResult
+from repro.topo.generators import paper_triangle
 
 
 _RequestFn = Callable[[ConnectionSpec], AdmissionResult]
@@ -52,22 +54,17 @@ def build_topology(spec: ScenarioSpec) -> NetworkTopology:
     A declarative ``topo`` takes precedence over the reference mesh; the
     scalar ``topology`` config then supplies only default parameters.
     """
-    if spec.topo is not None:
-        return spec.topo.build(spec.topology)
-    return build_network(spec.topology)
+    topo = spec.topo
+    if topo is None:
+        topo = paper_triangle(
+            spec.topology.n_rings, spec.topology.hosts_per_ring
+        )
+    return topo.build(spec.topology)
 
 
-def cac_config(spec: ScenarioSpec) -> Optional[CACConfig]:
-    """The CAC override the spec implies, or None in pure exact mode.
-
-    Returning ``None`` keeps default-knob runs on the untouched code path
-    (the simulator builds its own ``CACConfig(beta=beta)``), exactly as
-    the experiments did before the spec refactor — bit-reproducibility of
-    the figure artifacts depends on it.
-    """
+def cac_config(spec: ScenarioSpec) -> CACConfig:
+    """The CAC config the spec's knobs imply."""
     knobs = spec.cac
-    if knobs.incremental and knobs.coarsen_segments is None:
-        return None
     analysis = AnalysisConfig(coarsen_segments=knobs.coarsen_segments)
     return CACConfig(
         beta=knobs.beta, incremental=knobs.incremental, analysis=analysis
@@ -103,11 +100,8 @@ def admission_controller(
 ) -> AdmissionController:
     """A fresh analytic CAC over the spec's topology and knobs."""
     topo = topology if topology is not None else build_topology(spec)
-    config = cac_config(spec)
-    if config is None:
-        config = CACConfig(beta=spec.cac.beta)
     return AdmissionController(
-        topo, network_config=spec.topology, cac_config=config
+        topo, network_config=spec.topology, cac_config=cac_config(spec)
     )
 
 

@@ -8,6 +8,10 @@
   (e.g. a fuzz reproducer) instead of the built-in 6-ring setup;
 * ``replay`` — inspect an existing journal directory: restore it and report.
   ``--scenario SPEC`` restores against a scenario-spec file's topology.
+
+A scenario-spec file is lowered by :mod:`repro.scenario.loader`
+(``build_topology`` and ``cac_config``), the same path every other spec
+consumer takes, so a spec's declarative ``topo`` is what the service runs.
 """
 
 from __future__ import annotations
@@ -21,31 +25,23 @@ import tempfile
 import time
 from typing import List, Optional
 
-from repro.config import CACConfig, NetworkConfig, ServiceConfig, build_network
+from repro.config import NetworkConfig, ServiceConfig, build_network
+from repro.scenario import codec as scenario_codec
+from repro.scenario import loader as scenario_loader
+from repro.scenario.spec import ScenarioSpec
 from repro.service import frontend
-from repro.service.bench import _admit, _spec_of, apply_ops, trajectory_ops
+from repro.service.bench import (
+    _admit,
+    _spec_of,
+    apply_ops,
+    scenario_spec,
+    trajectory_ops,
+)
 from repro.service.server import AdmissionService
 
 
 def _network(n_rings: int) -> NetworkConfig:
     return NetworkConfig(n_rings=n_rings, hosts_per_ring=4)
-
-
-def _load_scenario(path: str):
-    """A scenario-spec file as (spec, network config, CAC config).
-
-    Lets ``soak`` and ``replay`` run against the exact topology and
-    analysis knobs of a serialized :class:`~repro.scenario.spec.ScenarioSpec`
-    (e.g. a fuzz reproducer) instead of the built-in defaults.
-    """
-    from repro.scenario import codec as scenario_codec
-    from repro.scenario import loader as scenario_loader
-
-    spec = scenario_codec.load_file(path)
-    cac_cfg = scenario_loader.cac_config(spec)
-    if cac_cfg is None:
-        cac_cfg = CACConfig(beta=spec.cac.beta)
-    return spec, spec.topology, cac_cfg
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -78,17 +74,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_soak(args: argparse.Namespace) -> int:
     """Churn for ~``--seconds``, fail/repair a node, kill and restore."""
-    scenario = None
+    scenario: Optional[ScenarioSpec] = None
     if args.scenario:
-        scenario, config, cac_cfg = _load_scenario(args.scenario)
+        scenario = scenario_codec.load_file(args.scenario)
         print(f"[soak] scenario {scenario.name!r} from {args.scenario}")
-    else:
-        config = _network(6)
-        cac_cfg = CACConfig()
+    # Without --scenario: the service bench's fixed 6-ring network.
+    spec = scenario if scenario is not None else scenario_spec()
+    config = spec.topology
+    topology = scenario_loader.build_topology(spec)
+    cac_cfg = scenario_loader.cac_config(spec)
     problems: List[str] = []
-    n_rings = config.n_rings
+    # Ring and host counts come from the network actually built: a spec's
+    # ``topo`` may differ from its scalar ``topology`` config.
+    n_rings = len(topology.rings)
+    hosts_per_ring = min(
+        len(topology.hosts_on_ring(ring_id)) for ring_id in topology.rings
+    )
     fail_node = f"id{max(2, n_rings - 1)}"
-    host_idx = min(2, config.hosts_per_ring)
+    host_idx = min(2, hosts_per_ring)
 
     def _churn_op(r: int):
         if scenario is None:
@@ -110,7 +113,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
             wal = os.path.join(tmp, "wal")
             service = AdmissionService(
-                build_network(config),
+                topology,
                 network_config=config,
                 cac_config=cac_cfg,
                 service_config=ServiceConfig(snapshot_every=25),
@@ -121,9 +124,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 await apply_ops(service, trajectory_ops())
             else:
                 # Standing population: the spec's explicit connections.
-                from repro.scenario.loader import offered_connections
-
-                for conn in offered_connections(scenario):
+                for conn in scenario_loader.offered_connections(scenario):
                     await service.submit_admit(conn)
             deadline = time.monotonic() + args.seconds
             r = 0
@@ -158,7 +159,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
             # Kill: abandon without stop(); the journal is the survivor.
             await service.simulate_kill()
             restored, report = AdmissionService.restore(
-                build_network(config),
+                scenario_loader.build_topology(spec),
                 wal,
                 network_config=config,
                 cac_config=cac_cfg,
@@ -178,7 +179,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 [
                     _admit(
                         "post-restore",
-                        f"host1-{config.hosts_per_ring}",
+                        f"host1-{hosts_per_ring}",
                         "host2-1",
                     )
                 ],
@@ -201,11 +202,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return 1
     cac_cfg = None
     if args.scenario:
-        _, config, cac_cfg = _load_scenario(args.scenario)
+        spec = scenario_codec.load_file(args.scenario)
+        config = spec.topology
+        topology = scenario_loader.build_topology(spec)
+        cac_cfg = scenario_loader.cac_config(spec)
     else:
         config = _network(args.rings)
+        topology = build_network(config)
     _, report = AdmissionService.restore(
-        build_network(config),
+        topology,
         args.journal_dir,
         network_config=config,
         cac_config=cac_cfg,

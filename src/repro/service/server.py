@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CACConfig, NetworkConfig, ServiceConfig
 from repro.core.cac import LEAK_TOLERANCE, AdmissionController
+from repro.core.failover import FailoverManager
 from repro.errors import AuditError, JournalError, ReproError, RoutingError
 from repro.faults.retry import RetryPolicy
 from repro.network.connection import ConnectionRecord, ConnectionSpec
@@ -572,9 +573,7 @@ class AdmissionService:
         self._journal("fault", {"node": node_id})
         displaced = [
             rec.conn_id
-            for rec in self.controller.connections.values()
-            if node_id in (rec.route.source_device, rec.route.dest_device)
-            or node_id in rec.route.switch_path
+            for rec in FailoverManager(self.controller).affected_by_node(node_id)
         ]
         for conn_id in displaced:
             self.controller.release(conn_id)

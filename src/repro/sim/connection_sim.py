@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.config import CACConfig, NetworkConfig, SimulationConfig, build_network
+from repro.config import CACConfig, NetworkConfig, SimulationConfig
 from repro.core.cac import AdmissionController, AdmissionResult
 from repro.core.failover import FailoverManager
 from repro.core.policies import AllocationPolicy
@@ -26,6 +26,7 @@ from repro.network.connection import ConnectionSpec
 from repro.sim.engine import Simulator
 from repro.sim.metrics import SimulationMetrics, SurvivabilityMetrics
 from repro.sim.random import RandomStreams
+from repro.topo.generators import paper_triangle
 from repro.topo.spec import TopologySpec
 from repro.traffic.generators import WorkloadGenerator
 
@@ -100,10 +101,12 @@ class ConnectionSimulator:
         workload_generator=None,
     ) -> None:
         self.config = config
-        if config.topo is not None:
-            self.topology = config.topo.build(config.network)
-        else:
-            self.topology = build_network(config.network)
+        topo = config.topo
+        if topo is None:
+            topo = paper_triangle(
+                config.network.n_rings, config.network.hosts_per_ring
+            )
+        self.topology = topo.build(config.network)
         self.cac = AdmissionController(
             self.topology,
             network_config=config.network,
@@ -331,24 +334,3 @@ class ConnectionSimulator:
             sim_time=self.sim.now,
             audit=audit,
         )
-
-
-def run_admission_probability(
-    utilization: float,
-    beta: float,
-    seed: int = 1,
-    n_requests: int = 400,
-    policy: Optional[AllocationPolicy] = None,
-    simulation: Optional[SimulationConfig] = None,
-    network: Optional[NetworkConfig] = None,
-) -> SimResult:
-    """Convenience wrapper: one (U, beta) point of Figures 7/8."""
-    cfg = ConnectionSimConfig(
-        utilization=utilization,
-        beta=beta,
-        seed=seed,
-        n_requests=n_requests,
-        network=network or NetworkConfig(),
-        simulation=simulation or SimulationConfig(),
-    )
-    return ConnectionSimulator(cfg, policy=policy).run()

@@ -363,10 +363,6 @@ class TopologySpec:
                 return ring
         raise TopologyError(f"unknown ring {ring_id!r}")
 
-    def all_hosts(self) -> Dict[str, List[str]]:
-        """ring_id -> host names, without building anything."""
-        return {ring.ring_id: ring.host_ids() for ring in self.rings}
-
 
 def _strongly_connected(
     nodes: Set[str], edges: Set[Tuple[str, str]]

@@ -90,3 +90,49 @@ class TestReleaseRefreshesBounds:
         live = cac.current_delays()
         for cid, rec in cac.connections.items():
             assert rec.delay_bound == live[cid]
+
+
+class TestTwoRingGrantRollback:
+    """A destination-ring refusal after the source ring has allocated
+    must propagate and leave both ledgers and the active set untouched."""
+
+    @staticmethod
+    def _ledgers(cac):
+        return {
+            ring_id: ring.allocated_sync_time
+            for ring_id, ring in cac.topology.rings.items()
+        }
+
+    def _assert_unchanged(self, cac, ledgers, active):
+        assert self._ledgers(cac) == ledgers
+        assert cac.topology.rings["ring1"].allocation_of("c2") == 0.0
+        assert all(leak == 0.0 for leak in cac.audit_allocations().values())
+        assert dict(cac.connections) == active
+
+    def test_decide_rolls_back_source_on_destination_refusal(
+        self, monkeypatch
+    ):
+        cac = make_cac()
+        assert cac.request(spec("c1")).admitted
+        ledgers, active = self._ledgers(cac), dict(cac.connections)
+
+        def refuse(conn_id, sync_time):
+            raise ConfigurationError("destination ledger refuses")
+
+        monkeypatch.setattr(cac.topology.rings["ring2"], "allocate", refuse)
+        with pytest.raises(ConfigurationError, match="refuses"):
+            cac.request(spec("c2", src="host1-2", dst="host2-2"))
+        self._assert_unchanged(cac, ledgers, active)
+
+    def test_restore_rolls_back_source_on_destination_refusal(self):
+        cac = make_cac()
+        assert cac.request(spec("c1")).admitted
+        ledgers, active = self._ledgers(cac), dict(cac.connections)
+        over_budget = cac.topology.rings["ring2"].ttrt
+        with pytest.raises(ConfigurationError, match="exceeds available"):
+            cac.restore(
+                spec("c2", src="host1-2", dst="host2-2"),
+                h_source=0.001,
+                h_dest=over_budget,
+            )
+        self._assert_unchanged(cac, ledgers, active)

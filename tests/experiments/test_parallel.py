@@ -10,7 +10,6 @@ from repro.experiments.figure7 import run_figure7
 from repro.experiments.parallel import (
     SimTask,
     SweepCellError,
-    default_jobs,
     run_sims,
 )
 from repro.sim.connection_sim import ConnectionSimConfig
@@ -73,9 +72,6 @@ class TestRunSims:
         results = run_sims(tasks, jobs=2)
         assert len(results) == 2
         assert all(0.0 <= r.admission_probability <= 1.0 for r in results)
-
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
 
     def test_worker_crash_names_the_failed_cell(self):
         tasks = [

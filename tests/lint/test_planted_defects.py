@@ -185,17 +185,11 @@ DEFECTS = [
     Defect(
         "rl006-decide-drops-rollback",
         "repro/core/cac.py",
-        "                ring_r.allocate(spec.conn_id, h_r)\n"
         "            except Exception:\n"
-        "                ring_s.release(spec.conn_id)\n"
-        "                raise\n"
-        "        self._add(record)\n"
-        "        # Refresh",
-        "                ring_r.allocate(spec.conn_id, h_r)\n"
+        "                ring_s.release(record.conn_id)\n"
+        "                raise\n",
         "            except Exception:\n"
-        "                raise\n"
-        "        self._add(record)\n"
-        "        # Refresh",
+        "                raise\n",
         "RL006",
     ),
     Defect(

@@ -31,13 +31,13 @@ def _entry(conn_id: str, src: str, dst: str) -> ConnectionEntry:
 
 
 class TestCacConfig:
-    def test_exact_mode_is_none(self):
-        """Default knobs keep the pre-spec code path: the simulator builds
-        its own ``CACConfig(beta=beta)``, so figure CSVs stay identical."""
+    def test_exact_mode_is_the_default_config(self):
+        """Default knobs lower to the simulator's own default
+        ``CACConfig(beta=beta)``, so figure CSVs stay identical."""
         spec = ScenarioSpec(
             name="t", arrivals=ArrivalsSpec(utilization=0.3)
         )
-        assert loader.cac_config(spec) is None
+        assert loader.cac_config(spec) == CACConfig(beta=spec.cac.beta)
 
     def test_full_recompute_mode_materializes(self):
         spec = ScenarioSpec(
@@ -46,7 +46,6 @@ class TestCacConfig:
             arrivals=ArrivalsSpec(utilization=0.3),
         )
         cfg = loader.cac_config(spec)
-        assert cfg is not None
         assert cfg.beta == 0.25
         assert cfg.incremental is False
 
@@ -57,7 +56,6 @@ class TestCacConfig:
             arrivals=ArrivalsSpec(utilization=0.3),
         )
         cfg = loader.cac_config(spec)
-        assert cfg is not None
         assert cfg.analysis.coarsen_segments == 16
 
 
@@ -75,7 +73,7 @@ class TestConnectionSimConfig:
         assert cfg.n_requests == settings.n_requests
         assert cfg.warmup_requests == settings.warmup_requests
         assert cfg.network == settings.network
-        assert cfg.cac is None
+        assert cfg.cac == CACConfig(beta=beta)
         assert cfg.faults is None and cfg.retry is None
 
     def test_faults_map_through(self):

@@ -440,6 +440,40 @@ class TestConcurrencyRegressions:
             ADMITTED,
         )
 
+    def test_node_failure_races_a_queued_release(self, tmp_path):
+        # A release already queued when a node fails must not run between
+        # the failure listing its displaced connections and releasing
+        # them: the listing and the releases happen in one step, so the
+        # queued release finds the connection gone.
+        wal = str(tmp_path / "wal")
+
+        async def scenario():
+            service = _service(journal_dir=wal)
+            await service.start()
+            await service.submit_admit(_spec("c1", "host1-1", "host2-1"))
+            await service.submit_admit(_spec("c2", "host3-1", "host4-1"))
+            release = asyncio.create_task(service.submit_release("c1"))
+            await asyncio.sleep(0)  # the release is queued, not yet served
+            displaced = await service.inject_node_failure("id2")
+            response = await release
+            live = service.signature()
+            await service.stop()
+            return displaced, response, live
+
+        displaced, response, live = run(scenario())
+        assert displaced == ["c1"]
+        assert response.verdict == UNKNOWN
+        restored, report = AdmissionService.restore(
+            build_network(NET),
+            wal,
+            network_config=NET,
+            cac_config=CACConfig(),
+            service_config=ServiceConfig(default_timeout=1e6, snapshot_every=0),
+            clock=TickClock(),
+        )
+        assert report.signature == live
+        assert list(restored.controller.connections) == ["c2"]
+
     def test_journal_write_with_no_journal_is_noop(self):
         async def scenario():
             async with _service() as service:

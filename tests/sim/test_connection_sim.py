@@ -3,11 +3,7 @@
 import pytest
 
 from repro.config import NetworkConfig, SimulationConfig
-from repro.sim.connection_sim import (
-    ConnectionSimConfig,
-    ConnectionSimulator,
-    run_admission_probability,
-)
+from repro.sim.connection_sim import ConnectionSimConfig, ConnectionSimulator
 
 
 def small_run(**kw):
@@ -96,10 +92,6 @@ class TestConnectionSimulator:
         light = small_run(utilization=0.05, n_requests=60)
         heavy = small_run(utilization=0.9, n_requests=60)
         assert heavy.admission_probability <= light.admission_probability + 0.15
-
-    def test_wrapper_function(self):
-        res = run_admission_probability(0.3, 0.5, seed=2, n_requests=25)
-        assert res.config.beta == 0.5
 
     def test_mixed_workload_generator_accepted(self):
         import random
