@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 
 from repro.atm.link import AtmLink
 from repro.envelopes.curve import Curve, sum_curves
-from repro.envelopes.operations import FifoBounds, horizontal_deviation
+from repro.envelopes.operations import rate_latency_bounds
 from repro.errors import BufferOverflowError, ConfigurationError, UnstableSystemError
 from repro.servers.base import ServerAnalysis
 
@@ -65,18 +65,16 @@ class OutputPortServer:
         """Payload service rate of the outgoing link (bits/second)."""
         return self.link.payload_rate
 
-    def service_curve(self) -> Curve:
-        """The port's service curve: rate-latency with the port latency."""
-        return Curve.rate_latency(self.service_rate, self.port_latency)
-
     def analyze_aggregate(self, aggregate: Curve) -> Tuple[float, float, float]:
         """Busy-period FIFO bounds of the aggregate arrival ``aggregate``.
 
         Returns ``(delay, backlog, busy_interval)``: the horizontal
-        deviation of ``aggregate`` from the service curve within the busy
-        interval, and the vertical deviation.  The one FIFO port analysis:
-        :meth:`analyze_tagged` and the delay engine's shared stages both
-        call it.
+        deviation of ``aggregate`` from the port's rate-latency service
+        curve ``R * (t - port_latency)+`` within the busy interval, and
+        the vertical deviation, from
+        :func:`~repro.envelopes.operations.rate_latency_bounds`.  The one
+        FIFO port analysis: :meth:`analyze_tagged` and the delay engine's
+        shared stages both call it.
 
         Raises
         ------
@@ -86,27 +84,25 @@ class OutputPortServer:
         BufferOverflowError
             If the worst-case aggregate backlog exceeds the port buffer.
         """
-        service = self.service_curve()
         # The 1e-12 relative slack lets an aggregate up to that much over
-        # the link rate reach FifoBounds; an endless busy period still
+        # the link rate reach the kernel; an endless busy period still
         # rejects it below.
         if aggregate.final_slope > self.service_rate * (1 + 1e-12):
             raise UnstableSystemError(
                 f"{self.name}: aggregate rate {aggregate.final_slope:.6g} b/s "
                 f"exceeds link payload rate {self.service_rate:.6g} b/s"
             )
-        bounds = FifoBounds(aggregate, service)
-        busy = bounds.busy
+        busy, backlog, delay = rate_latency_bounds(
+            aggregate, self.service_rate, self.port_latency
+        )
         if math.isinf(busy):
             raise UnstableSystemError(f"{self.name}: unbounded busy period")
-        backlog = bounds.backlog()
         # The 1e-9 bit slack admits up to 1e-9 bits of overflow.
         if backlog > self.buffer_bits + 1e-9:
             raise BufferOverflowError(
                 f"{self.name}: worst-case backlog {backlog:.6g} bits exceeds "
                 f"buffer {self.buffer_bits:.6g} bits"
             )
-        delay = horizontal_deviation(aggregate, service, t_max=busy)
         if math.isinf(delay):
             raise UnstableSystemError(f"{self.name}: unbounded delay")
         return delay, backlog, busy

@@ -629,6 +629,10 @@ def sum_curves(curves: Iterable[Curve]) -> Curve:
     over the concatenated breakpoints) instead of pairwise ``union1d``
     folds; each curve is then evaluated once over that grid.  Accumulation
     stays in input order so the float sums match a sequential fold exactly.
+
+    One ``searchsorted`` per curve serves both terms: ``c(xs)`` and
+    ``_slopes_at(c, xs)`` find the same segment (``side="right"``,
+    clamped at 0), and the value is ``__call__``'s expression on it.
     """
     curves = list(curves)
     if not curves:
@@ -637,9 +641,18 @@ def sum_curves(curves: Iterable[Curve]) -> Curve:
         xs = curves[0].xs
     else:
         xs = np.unique(np.concatenate([c.xs for c in curves]))
+    # ``__call__`` reads 0 before t = 0; only a first breakpoint a hair
+    # below 0 (within the constructor's tolerance) puts one on the grid.
+    negative = xs < 0.0 if xs[0] < 0.0 else None
     ys = np.zeros_like(xs)
     slopes = np.zeros_like(xs)
     for c in curves:
-        ys += c(xs)
-        slopes += _slopes_at(c, xs)
+        idx = np.searchsorted(c.xs, xs, side="right") - 1
+        np.maximum(idx, 0, out=idx)
+        c_slopes = c.slopes[idx]
+        vals = c.ys[idx] + c_slopes * (xs - c.xs[idx])
+        if negative is not None:
+            vals = np.where(negative, 0.0, vals)
+        ys += vals
+        slopes += c_slopes
     return Curve(xs, ys, slopes, validate=False).simplify()

@@ -23,11 +23,12 @@ finite grid, and its docstring says which side each approximation errs on.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.envelopes.curve import EPS, Curve, _left_limits_at, _slopes_at
+from repro.errors import CurveError
 from repro.lru import LRUCache
 
 
@@ -316,6 +317,159 @@ def horizontal_deviation(
     # tail is attained at the last breakpoint already considered; in the
     # bounded case t_max is included above.
     return max(best, 0.0)
+
+
+def rate_latency_bounds(
+    arrival: Curve, rate: float, latency: float
+) -> Tuple[float, float, float]:
+    """``(busy, backlog, delay)`` of ``A`` against ``S = R * (t - T)+``.
+
+    Bit for bit ``FifoBounds(A, S).busy``, ``FifoBounds(A, S).backlog()``
+    and ``horizontal_deviation(A, S, t_max=busy)`` with ``S =
+    Curve.rate_latency(R, T)``, in one pass over ``A``'s breakpoints: no
+    ``union1d``, four scalar searches and one vector search.  With an
+    unbounded busy period the backlog and delay are not computed and all
+    three are ``inf``.  The tolerances are those two functions', and err
+    on the sides their docstrings state.
+
+    Every value is the float expression the generic path evaluates at the
+    same point (``S`` is ``[0]`` with slope ``R`` when ``T == 0``, else
+    ``[0, T]`` with slopes ``[0, R]``; ``x - 0.0 == x`` and ``0.0 * x``
+    is a zero for finite ``x``, so ``0.0 + 0.0 * (x - 0.0) == 0.0``):
+
+    * Grid: ``union1d(A.xs, S.xs)`` is ``A.xs`` with ``0`` and ``T``
+      inserted where absent; each point keeps ``A``'s segment as
+      ``searchsorted(side="right") - 1`` (clamped at 0) finds it.
+    * ``A`` on the grid: ``ys[i] + slopes[i] * (x - xs[i])`` on that
+      segment, 0 before ``t = 0``, as ``Curve.__call__``; at ``A``'s own
+      breakpoints that is ``ys + slopes * 0.0``.
+    * ``S`` on the grid: ``0.0 + R * (x - T)`` from ``T`` on (from 0 when
+      ``T == 0``), ``0.0`` before it, as ``GridPlan.service_values``.
+    * Catch-up slope of ``S`` at the point before the first hit: ``R`` at
+      or after ``T``, else ``0.0`` (that point is at or after 0, so
+      always ``R`` when ``T == 0``).
+    * Backlog: ``A``'s left limit at its breakpoint ``k`` is the previous
+      segment's ``ys[k-1] + slopes[k-1] * (xs[k] - xs[k-1])``, and at an
+      inserted point its right value; 0 at ``x <= 0``.  ``S``'s left
+      limit equals its right value everywhere: both are ``0.0`` up to
+      ``T`` (``0.0 + R * 0.0 == 0.0`` at ``T``) and the same expression
+      past it.  ``busy`` is at or after the grid's first point, so the
+      generic empty-window branch never runs, and it sits in the segment
+      of the last grid point not past it, so ``A(busy)`` and ``S(busy)``
+      are ``__call__``'s scalar expressions there.
+    * Delay candidates: ``S``'s levels and left limits are all ``0.0``,
+      so every crossing candidate is ``A.pseudo_inverse_many(0.0)``,
+      which is ``0.0`` when ``A.ys[0] >= 0``; the candidates are ``A.xs``,
+      the crossings, their ``1e-9`` nudges, cut at ``busy + EPS``, plus
+      ``busy``.  A crossing equal to ``A.xs[0]`` repeats a candidate and
+      is dropped: a maximum is order- and repeat-independent.
+    * ``S.pseudo_inverse_many(v)``: ``T + v / R`` for ``v > 0`` (``inf``
+      when ``R <= EPS``), ``0.0`` otherwise.
+    """
+    if rate < 0 or latency < 0:
+        raise CurveError("rate-latency curve needs non-negative parameters")
+    rate = float(rate)
+    latency = float(latency)
+    axs, ays, aslopes = arrival.xs, arrival.ys, arrival.slopes
+
+    # The merged grid, A's segment at each point, and the grid positions
+    # of 0 (``zero``) and of T (``start``, where S's rising segment starts).
+    xs = axs
+    seg = np.arange(len(axs))
+    inserted: List[int] = []
+    positions: List[int] = []
+    for point in (0.0, latency) if latency > 0.0 else (0.0,):
+        p = int(np.searchsorted(xs, point))
+        if p == len(xs) or xs[p] != point:
+            xs = np.concatenate((xs[:p], [point], xs[p:]))
+            seg = np.concatenate((seg[:p], seg[p - 1 : p] if p else [0], seg[p:]))
+            inserted.append(p)
+        positions.append(p)
+    zero, start = positions[0], positions[-1]
+    a_vals = ays[seg] + aslopes[seg] * (xs - axs[seg])
+    a_vals[:zero] = 0.0
+    s_vals = np.zeros(len(xs))
+    s_vals[start:] = 0.0 + rate * (xs[start:] - latency)
+    diff = a_vals - s_vals
+    tol = 1e-9 * np.maximum(1.0, np.abs(a_vals))
+
+    # The busy interval, as ``_first_catch_up`` reads it; ``cut`` counts
+    # the grid points at or before it.
+    hits = diff <= tol
+    hits[: zero + 1] = False
+    if hits.any():
+        k = int(np.argmax(hits))
+        busy = float(xs[k])
+        cut = k + 1
+        if k >= 1 and float(diff[k - 1]) > float(tol[k]):
+            sa = float(aslopes[seg[k - 1]])
+            ss = rate if k - 1 >= start else 0.0
+            dslope = sa - ss
+            if dslope < -EPS:
+                t_cross = float(xs[k - 1]) - float(diff[k - 1]) / dslope
+                # t_cross lies in [xs[k - 1], xs[k]).
+                if t_cross < busy - EPS:
+                    busy = t_cross
+                    cut = k
+    else:
+        x0 = float(xs[-1])
+        diff0 = float(diff[-1])
+        dslope = arrival.final_slope - rate
+        cut = len(xs)
+        if diff0 <= float(tol[-1]):
+            busy = x0 if x0 > 0 else 0.0
+        elif dslope >= -EPS:
+            return math.inf, math.inf, math.inf
+        else:
+            busy = float(x0 - diff0 / dslope)
+
+    # The backlog, as ``_backlog`` reads it from the same arrays.
+    lseg = np.maximum(seg[:cut] - 1, 0)
+    for p in inserted:
+        if p < cut:
+            lseg[p] = seg[p]
+    gx = xs[:cut]
+    a_left = ays[lseg] + aslopes[lseg] * (gx - axs[lseg])
+    a_left[: zero + 1] = 0.0
+    backlog = max(
+        0.0, float(np.max(diff[:cut])), float(np.max(a_left - s_vals[:cut]))
+    )
+    i = int(seg[cut - 1])
+    a_busy = float(ays[i]) + float(aslopes[i]) * (busy - float(axs[i]))
+    s_busy = 0.0 + rate * (busy - latency) if busy >= latency else 0.0
+    backlog = max(backlog, a_busy - s_busy)
+
+    # The delay, as ``horizontal_deviation`` reads it up to ``busy``.
+    # ``A.xs`` and its nudges both rise, so each filter keeps a run of
+    # them; ``zero`` counts the breakpoints below 0, and every nudge is
+    # past ``A.xs[0] >= -EPS``, so above 0 and on a segment >= 0.
+    limit = busy + EPS
+    hi = int(np.searchsorted(axs, limit, side="right"))
+    nudged = axs[:hi] + 1e-9 * np.maximum(1.0, axs[:hi])
+    nudged = nudged[: int(np.searchsorted(nudged, limit, side="right"))]
+    idx = np.searchsorted(axs, nudged, side="right") - 1
+    cand_parts = [axs[zero:hi], nudged, np.asarray([busy])]
+    val_parts = [
+        ays[zero:hi] + aslopes[zero:hi] * 0.0,
+        ays[idx] + aslopes[idx] * (nudged - axs[idx]),
+        np.asarray([a_busy]),
+    ]
+    crossing = 0.0 if ays[0] >= 0.0 else float(arrival.pseudo_inverse_many([0.0])[0])
+    if math.isfinite(crossing) and crossing != axs[0]:
+        extra = np.asarray([crossing, crossing + 1e-9 * max(1.0, crossing)])
+        extra = extra[(extra <= limit) & (extra >= 0.0)]
+        cand_parts.append(extra)
+        val_parts.append(arrival(extra))
+    cands = np.concatenate(cand_parts)
+    vals = np.concatenate(val_parts)
+    if rate > EPS:
+        s_times = np.where(vals > 0.0, latency + vals / rate, 0.0)
+    else:
+        s_times = np.where(vals > 0.0, math.inf, 0.0)
+    # An infinite pseudo-inverse makes the maximum ``inf``, which is what
+    # ``horizontal_deviation`` returns then.
+    delay = max(float(np.max(s_times - cands)), 0.0)
+    return busy, backlog, delay
 
 
 def token_bucket_majorant(curve: Curve) -> Tuple[float, float]:

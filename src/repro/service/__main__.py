@@ -1,8 +1,9 @@
 """Command-line entry points: ``python -m repro service <command>``.
 
 * ``serve``  — run the JSON-lines TCP front-end on a fresh network;
-* ``soak``   — a time-boxed churn soak with one injected node failure and
-  one kill/restore cycle (the CI smoke job); exits non-zero on any leak,
+* ``soak``   — a time-boxed churn soak with one injected node failure (of
+  the device the most standing connections ride, :func:`fault_target`)
+  and one kill/restore cycle (the CI smoke job); exits non-zero on any leak,
   recovery mismatch, or missed degradation.  ``--scenario SPEC`` soaks the
   topology, analysis knobs and standing population of a scenario-spec file
   (e.g. a fuzz reproducer) instead of the built-in 6-ring setup;
@@ -23,9 +24,11 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from typing import List, Optional
 
 from repro.config import NetworkConfig, ServiceConfig, build_network
+from repro.core.cac import AdmissionController
 from repro.scenario import codec as scenario_codec
 from repro.scenario import loader as scenario_loader
 from repro.scenario.spec import ScenarioSpec
@@ -72,6 +75,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def fault_target(controller: AdmissionController) -> Optional[str]:
+    """The interface device the most live connections ride, or ``None``.
+
+    Ties go to the lowest device id in string order, so the soak fails
+    the same device on every run of the same population.
+    """
+    riders: Counter[str] = Counter()
+    for rec in controller.connections.values():
+        route = rec.route
+        for device in {route.source_device, route.dest_device}:
+            if device is not None:
+                riders[device] += 1
+    if not riders:
+        return None
+    return min(riders, key=lambda device: (-riders[device], device))
+
+
 def cmd_soak(args: argparse.Namespace) -> int:
     """Churn for ~``--seconds``, fail/repair a node, kill and restore."""
     scenario: Optional[ScenarioSpec] = None
@@ -90,7 +110,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
     hosts_per_ring = min(
         len(topology.hosts_on_ring(ring_id)) for ring_id in topology.rings
     )
-    fail_node = f"id{max(2, n_rings - 1)}"
     host_idx = min(2, hosts_per_ring)
 
     def _churn_op(r: int):
@@ -108,6 +127,15 @@ def cmd_soak(args: argparse.Namespace) -> int:
             f"host{src_ring}-1",
             f"host{dst_ring}-{host_idx}",
         )
+
+    async def _fail(service: AdmissionService) -> str:
+        # The churn releases what it admits, so the connections live here
+        # are the standing population: fail a device they ride.  With
+        # none live, a fixed device still runs the fault and repair.
+        node = fault_target(service.controller) or f"id{max(2, n_rings - 1)}"
+        displaced = await service.inject_node_failure(node)
+        print(f"[soak] failed {node}, displaced {len(displaced)}")
+        return node
 
     async def _run() -> None:
         with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
@@ -128,29 +156,22 @@ def cmd_soak(args: argparse.Namespace) -> int:
                     await service.submit_admit(conn)
             deadline = time.monotonic() + args.seconds
             r = 0
-            failed = repaired = False
+            fail_node: Optional[str] = None
+            repaired = False
             while time.monotonic() < deadline:
                 await service.submit_admit(_spec_of(_churn_op(r)))
                 await service.submit_release(f"soak-{r}")
                 r += 1
-                if not failed and time.monotonic() > deadline - args.seconds / 2:
-                    displaced = await service.inject_node_failure(fail_node)
-                    print(
-                        f"[soak] failed {fail_node}, "
-                        f"displaced {len(displaced)}"
-                    )
-                    failed = True
-                elif failed and not repaired and time.monotonic() > (
+                if fail_node is None and time.monotonic() > deadline - args.seconds / 2:
+                    fail_node = await _fail(service)
+                elif fail_node is not None and not repaired and time.monotonic() > (
                     deadline - args.seconds / 4
                 ):
                     await service.repair_node(fail_node)
                     print(f"[soak] repaired {fail_node}")
                     repaired = True
-            if not failed:
-                displaced = await service.inject_node_failure(fail_node)
-                print(
-                    f"[soak] failed {fail_node}, displaced {len(displaced)}"
-                )
+            if fail_node is None:
+                fail_node = await _fail(service)
             if not repaired:
                 await service.repair_node(fail_node)
                 print(f"[soak] repaired {fail_node}")

@@ -13,7 +13,7 @@ import pytest
 
 from repro.atm import AtmSwitch
 from repro.config import AnalysisConfig
-from repro.core.delay import ConnectionLoad, DelayAnalyzer
+from repro.core.delay import ConnectionLoad, DelayAnalyzer, _shifts_converged
 from repro.errors import FixedPointDivergenceError, UnstableSystemError
 from repro.fddi import FDDIRing
 from repro.interface_device import InterfaceDevice
@@ -131,3 +131,26 @@ class TestForcedFixedPointEquivalence:
                 plain[cid].output.fingerprint()
                 == forced[cid].output.fingerprint()
             )
+
+
+class TestShiftConvergence:
+    """The fixed point's convergence test, on both kinds of quantum.
+
+    On the zero-quantum ring families the shifts repeat exactly once
+    they converge, so only a direct call tells the relative test from
+    exact repetition.
+    """
+
+    def test_zero_quantum_accepts_a_change_within_the_relative_tolerance(self):
+        assert _shifts_converged({"p": 1.0}, {"p": 1.0 + 1e-12}, 0.0)
+        assert _shifts_converged({"p": 0.0}, {"p": 0.0}, 0.0)
+
+    def test_zero_quantum_rejects_a_change_beyond_it(self):
+        assert not _shifts_converged({"p": 1.0}, {"p": 1.0 + 1e-6}, 0.0)
+        assert not _shifts_converged(
+            {"p": 1.0, "q": 2.0}, {"p": 1.0, "q": 2.0 + 1e-6}, 0.0
+        )
+
+    def test_positive_quantum_needs_exact_repetition(self):
+        assert _shifts_converged({"p": 3e-4}, {"p": 3e-4}, 1e-4)
+        assert not _shifts_converged({"p": 3e-4}, {"p": 3e-4 * (1 + 1e-12)}, 1e-4)

@@ -17,6 +17,7 @@ reuses ``ConnectionLoad`` objects across steps, and it fails and restores
 a backbone link between steps.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -24,7 +25,13 @@ import numpy as np
 import pytest
 
 from repro.config import build_network
-from repro.core.delay import STAGE_CACHE_SIZE, ConnectionLoad, DelayAnalyzer, DelayReport
+from repro.core.delay import (
+    STAGE_CACHE_SIZE,
+    ConnectionLoad,
+    DelayAnalyzer,
+    DelayReport,
+    route_port_names,
+)
 from repro.core.incremental import IncrementalDelayEngine
 from repro.envelopes.curve import Curve
 from repro.errors import BufferOverflowError, UnstableSystemError
@@ -261,3 +268,29 @@ class TestInterner:
         seen = {first, intern("y"), intern("z")}
         again = intern("x")
         assert again not in seen
+
+
+def test_a_removal_leaves_the_cached_partition_unchanged():
+    """Removing a load whose ports no remaining load crosses, then
+    reusing the cached partition, must neither write into the cached
+    entry nor dirty the component that stayed: the reports equal a full
+    computation, and the untouched load is reused every time."""
+    topo = build_network()
+    engine = IncrementalDelayEngine(DelayAnalyzer(topo))
+    kept = _load(topo, "kept", "host1-1", "host2-1", LIGHT, 0.001, 0.001)
+    removed = _load(topo, "removed", "host3-1", "host1-1", LIGHT, 0.001, 0.001)
+    ports = route_port_names(topo, kept.route)
+    assert not set(ports) & set(route_port_names(topo, removed.route))
+
+    assert _outcome(engine.compute, [kept]) == _outcome(
+        DelayAnalyzer(topo).compute, [kept]
+    )
+    cached = engine._partition_cache.get((ports,))
+    snapshot = copy.deepcopy(cached)
+    for loads in ([kept, removed], [kept], [kept, removed], [kept]):
+        assert _outcome(engine.compute, loads) == _outcome(
+            DelayAnalyzer(topo).compute, loads
+        )
+        assert engine._partition_cache.get((ports,)) == snapshot
+    assert engine._partition_cache.get((ports,)) is cached
+    assert engine.stats()["loads_reused"] == 4
