@@ -77,14 +77,6 @@ class AnalysisConfig:
     #: exact).  Rounding up keeps envelopes conservative and makes them
     #: identical across nearby binary-search probes — a large cache win.
     output_delay_quantum: float = 1e-4
-    #: Optional accuracy-for-speed trade: cap every curve the analysis
-    #: propagates at this many segments via conservative coarsening
-    #: (arrival/output envelopes are rounded *up*, availability/service
-    #: curves rounded *down* — see ``Curve.coarsen``), so all delay and
-    #: backlog bounds remain valid upper bounds, merely looser.  ``None``
-    #: (the default) is exact mode: results are bit-identical to the
-    #: uncapped analysis and the figure-7/8 artifacts are unchanged.
-    coarsen_segments: Optional[int] = None
     #: Cap on the cyclic fixed-point iteration (see repro.core.delay):
     #: cyclic port-dependency graphs are solved by iterating the monotone
     #: per-port shift map until the quantized shift vector repeats
@@ -103,8 +95,6 @@ class AnalysisConfig:
             raise ConfigurationError("need at least 8 envelope segments")
         if self.output_delay_quantum < 0:
             raise ConfigurationError("delay quantum must be non-negative")
-        if self.coarsen_segments is not None and self.coarsen_segments < 8:
-            raise ConfigurationError("coarsen_segments must be >= 8 (or None)")
         if self.fixed_point_max_iterations < 1:
             raise ConfigurationError("fixed_point_max_iterations must be >= 1")
 
@@ -145,9 +135,8 @@ class ServiceConfig:
     """Knobs of the standing admission-control service (:mod:`repro.service`).
 
     The service wraps the CAC behind a bounded, priority-aware request
-    queue, journals every decision to a write-ahead log, and degrades
-    gracefully (exact analysis -> conservative coarsening -> admission
-    freeze) when measured decision latency climbs.  All thresholds are in
+    queue, journals every decision to a write-ahead log, and freezes
+    admission when measured decision latency climbs.  All thresholds are in
     wall-clock seconds of *decision latency*, not simulated time.
     """
 
@@ -167,17 +156,14 @@ class ServiceConfig:
     # --- degradation ladder ------------------------------------------
     #: EWMA window (in decisions) of the decision-latency estimate.
     latency_window: int = 8
-    #: Engage the next rung when the EWMA latency exceeds this, seconds.
+    #: Freeze admissions when the EWMA latency exceeds this, seconds.
     degrade_hi: float = 0.5
-    #: Disengage a rung when the EWMA falls below this, seconds
-    #: (hysteresis: must be < ``degrade_hi``).
+    #: Thaw when the EWMA falls below this, seconds (hysteresis: must be
+    #: < ``degrade_hi``).
     degrade_lo: float = 0.2
     #: Decisions a rung must dwell before it may transition again (keeps
-    #: the ladder from flapping between adjacent rungs).
+    #: the ladder from flapping).
     min_dwell: int = 16
-    #: ``AnalysisConfig.coarsen_segments`` applied at the COARSENED rung
-    #: (admission gets strictly more conservative, never unsafe).
-    degraded_segments: int = 32
     #: While FROZEN, every Nth shed admit is decided anyway as a thaw
     #: probe, so the ladder can observe latency and step back down.
     freeze_probe_every: int = 8
@@ -206,8 +192,6 @@ class ServiceConfig:
             )
         if self.min_dwell < 1:
             raise ConfigurationError("min_dwell must be >= 1")
-        if self.degraded_segments < 8:
-            raise ConfigurationError("degraded_segments must be >= 8")
         if self.freeze_probe_every < 1:
             raise ConfigurationError("freeze_probe_every must be >= 1")
         if self.retry_base_delay <= 0 or self.retry_max_delay <= 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.config import AnalysisConfig, CACConfig, NetworkConfig
+from repro.config import CACConfig, NetworkConfig
 from repro.core.delay import ConnectionLoad, DelayAnalyzer, DelayReport
 from repro.core.incremental import IncrementalDelayEngine
 from repro.core.policies import AllocationContext, AllocationPolicy, BetaPolicy
@@ -341,28 +341,6 @@ class AdmissionController:
         )
         self._grant(record)
         return record
-
-    def set_analysis_config(self, analysis: AnalysisConfig) -> None:
-        """Swap the delay-analysis accuracy mode in place.
-
-        The degradation ladder of :mod:`repro.service` switches between
-        exact analysis and conservative coarsening without rebuilding the
-        controller: the active set and the ring ledgers are untouched;
-        the analyzer (and its caches) and the incremental engine are
-        rebuilt under the new :class:`~repro.config.AnalysisConfig`.
-        No-op when the config is unchanged.
-        """
-        if analysis == self.analyzer.analysis:
-            return
-        self.config = dataclasses.replace(self.config, analysis=analysis)
-        self.analyzer = DelayAnalyzer(
-            self.topology, self.network_config, analysis
-        )
-        self.engine = (
-            IncrementalDelayEngine(self.analyzer)
-            if self.config.incremental
-            else None
-        )
 
     def release(self, conn_id: str) -> ConnectionRecord:
         """Tear down a connection and free its synchronous bandwidth.

@@ -396,7 +396,6 @@ class DelayAnalyzer:
                 ring.bandwidth,
                 buffer_bits=self.network_config.mac_buffer_bits,
                 name=f"mac-{'src' if source else 'dst'}:{conn_id}",
-                service_segments=self.analysis.coarsen_segments,
                 plans=self._plans,
             ),
         )
@@ -512,15 +511,10 @@ class DelayAnalyzer:
 
         Envelopes are *upper* bounds on traffic, so coarsening rounds them
         up (``direction="upper"``) — every downstream delay/backlog bound
-        stays a valid upper bound.  The budget is ``max_envelope_segments``
-        in exact mode, tightened to ``coarsen_segments`` when the
-        accuracy-for-speed knob is set.
+        stays a valid upper bound.  The budget is ``max_envelope_segments``.
         """
         envelope = envelope.simplify()
         cap = self.analysis.max_envelope_segments
-        knob = self.analysis.coarsen_segments
-        if knob is not None and knob < cap:
-            cap = knob
         if len(envelope.xs) > cap:
             envelope = envelope.coarsen(cap, direction="upper")
         return envelope
@@ -598,15 +592,8 @@ class DelayAnalyzer:
         envelope is its input advanced by ``shift`` and capped at link rate
         (:meth:`_port_output`).  ``shift`` is the delay rounded up to
         ``output_delay_quantum``.
-
-        With ``coarsen_segments`` set, the *aggregate* arrival envelope is
-        conservatively rounded up to that many segments before the port
-        analysis — the per-connection inputs and outputs are untouched.
         """
         aggregate = sum_curves(envelopes.values())
-        knob = self.analysis.coarsen_segments
-        if knob is not None and len(aggregate.xs) > knob:
-            aggregate = aggregate.coarsen(knob, direction="upper")
         delay, backlog, busy = port.analyze_aggregate(aggregate)
         quantum = self.analysis.output_delay_quantum
         if quantum > 0 and delay > 0:

@@ -26,8 +26,6 @@ def build_settings(args) -> ExperimentSettings:
     overrides = {}
     if args.no_calibration:
         overrides["calibrate_load"] = False
-    if args.coarsen is not None:
-        overrides["coarsen_segments"] = args.coarsen
     if overrides:
         base = dataclasses.replace(base, **overrides)
     return base
@@ -72,15 +70,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="run sweep points over N worker processes (results are "
         "bit-identical to a serial run; default 1)",
-    )
-    parser.add_argument(
-        "--coarsen",
-        type=int,
-        default=None,
-        metavar="SEGMENTS",
-        help="cap analysis curves at SEGMENTS breakpoints via one-sided "
-        "conservative coarsening (faster, strictly more conservative "
-        "admission; default: exact mode, bit-reproducible output)",
     )
     args = parser.parse_args(argv)
     settings = build_settings(args)

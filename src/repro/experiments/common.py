@@ -23,13 +23,6 @@ class ExperimentSettings:
     seeds: Tuple[int, ...] = (1, 2, 3)
     calibrate_load: bool = True
     network: NetworkConfig = dataclasses.field(default_factory=NetworkConfig)
-    #: Optional accuracy-for-speed trade (``--coarsen`` on the CLI): cap
-    #: every analysis curve at this many segments via one-sided coarsening
-    #: (see AnalysisConfig.coarsen_segments).  ``None`` — the default — is
-    #: exact mode, whose figure CSVs are bit-reproducible; a finite cap
-    #: makes admission strictly more conservative but much faster at high
-    #: load.
-    coarsen_segments: Optional[int] = None
 
     def simulation_config(self) -> SimulationConfig:
         scale = CALIBRATED_LOAD_SCALE if self.calibrate_load else 1.0
@@ -52,9 +45,7 @@ class ExperimentSettings:
         return ScenarioSpec(
             name=name or f"U{utilization:g}-beta{beta:g}-seed{seed}",
             topology=self.network,
-            cac=AnalysisKnobs(
-                beta=beta, coarsen_segments=self.coarsen_segments
-            ),
+            cac=AnalysisKnobs(beta=beta),
             arrivals=ArrivalsSpec(
                 utilization=utilization,
                 seed=seed,

@@ -162,12 +162,6 @@ class FDDIMacServer(DedicatedServer):
         32 steps, and the horizon grows (by 4x, up to ``max_steps``) only
         while the busy interval runs past it, so a ``max_steps`` below 32
         caps nothing: ``max_steps=8`` analyzes on a 32-step staircase.
-    service_segments:
-        Optional segment cap on the availability staircase
-        (``AnalysisConfig.coarsen_segments``).  Coarsening a *service*
-        curve must round it **down** (``Curve.coarsen(direction="lower")``)
-        so the analyzed service never exceeds the guaranteed one and every
-        bound stays conservative.  ``None`` (default) = exact staircase.
     plans:
         Theorem-1 plans shared by the servers of one analyzer (see
         :func:`theorem1`); ``None`` (default) builds fresh plans on every
@@ -182,7 +176,6 @@ class FDDIMacServer(DedicatedServer):
         buffer_bits: float = math.inf,
         name: str = "fddi-mac",
         max_steps: int = 4096,
-        service_segments: "int | None" = None,
         plans: "PlanCache | None" = None,
     ) -> None:
         if sync_time < 0:
@@ -191,15 +184,12 @@ class FDDIMacServer(DedicatedServer):
             raise ConfigurationError("TTRT and bandwidth must be positive")
         if buffer_bits <= 0:
             raise ConfigurationError("buffer must be positive (or inf)")
-        if service_segments is not None and service_segments < 8:
-            raise ConfigurationError("service_segments must be >= 8 (or None)")
         self.sync_time = float(sync_time)
         self.ttrt = float(ttrt)
         self.bandwidth = float(bandwidth)
         self.buffer_bits = float(buffer_bits)
         self.name = name
         self.max_steps = int(max_steps)
-        self.service_segments = service_segments
         self.plans = plans
 
     # ------------------------------------------------------------------
@@ -210,20 +200,10 @@ class FDDIMacServer(DedicatedServer):
         return self.sync_time * self.bandwidth / self.ttrt
 
     def availability(self, n_steps: int) -> Curve:
-        """The ``avail(t)`` staircase with ``n_steps`` exact steps.
-
-        With ``service_segments`` set, the staircase is conservatively
-        under-approximated (rounded down) to that many segments.
-        """
-        avail = timed_token_staircase(
+        """The ``avail(t)`` staircase with ``n_steps`` exact steps."""
+        return timed_token_staircase(
             self.sync_time, self.ttrt, self.bandwidth, n_steps=n_steps
         )
-        if (
-            self.service_segments is not None
-            and len(avail.xs) > self.service_segments
-        ):
-            avail = avail.coarsen(self.service_segments, direction="lower")
-        return avail
 
     def analyze(self, arrival: Curve, *, output: bool = True) -> ServerAnalysis:
         """Run Theorem 1 for ``arrival``; see class docstring.
@@ -251,7 +231,6 @@ class FDDIMacServer(DedicatedServer):
             self.bandwidth,
             self.buffer_bits,
             self.max_steps,
-            self.service_segments,
         )
 
     def __repr__(self) -> str:

@@ -366,7 +366,7 @@ class UnitDisciplineRule(Rule):
                     (node.right, node.left),
                 ):
                     if self._is_smell_literal(operand) and not (
-                        self._is_units_constant(other)
+                        self._scales_units_constant(operand, other)
                     ):
                         value = operand.value  # type: ignore[attr-defined]
                         findings.append(
@@ -381,12 +381,19 @@ class UnitDisciplineRule(Rule):
                 findings.extend(self._check_suffix(node, path))
         return findings
 
-    def _is_units_constant(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in UNITS
-        if isinstance(node, ast.Attribute):
-            return node.attr in UNITS
-        return False
+    def _scales_units_constant(self, literal: ast.AST, other: ast.AST) -> bool:
+        """A magnitude times a named unit (``8 * MS``) — except ``8`` next
+        to a byte count, which is the bits-per-byte conversion spelled
+        inline (``FDDI_MAX_FRAME_BYTES * 8``)."""
+        if isinstance(other, ast.Name):
+            unit = UNITS.get(other.id)
+        elif isinstance(other, ast.Attribute):
+            unit = UNITS.get(other.attr)
+        else:
+            return False
+        if unit is None:
+            return False
+        return not (unit == "bytes" and literal.value == 8)  # type: ignore[attr-defined]
 
     def _is_smell_literal(self, node: ast.AST) -> bool:
         return (

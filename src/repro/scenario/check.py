@@ -18,10 +18,10 @@ optimized engines promised, checked end-to-end on a single spec:
     The interference-partition incremental engine reproduces the full
     recomputation bit-for-bit (identical decision trace, grants, bounds).
 ``coarsening_conservative``
-    One-sided curve coarsening only loosens bounds: the coarsened
-    analysis of the final admitted set is ``>=`` a truly exact
-    analysis (tidy cap disabled, see :data:`EXACT_SEGMENT_CAP`),
-    per connection.
+    The coarsening the product does (every envelope tidied to
+    ``max_envelope_segments``) only loosens bounds: the CAC's own bounds
+    for the final admitted set are ``>=`` a truly exact analysis (tidy
+    cap disabled, see :data:`EXACT_SEGMENT_CAP`), per connection.
 ``deterministic_replay``
     Running the spec twice yields byte-identical outcome signatures.
 
@@ -46,11 +46,9 @@ from repro.scenario.spec import AnalysisKnobs, ScenarioSpec
 #: Slack for bound comparisons, seconds (pure float-accumulation noise).
 BOUND_TOLERANCE = 1e-9
 #: Segment budget for the coarsening check's *reference* analysis.  The
-#: default ``AnalysisConfig`` already tidies every envelope down to
-#: ``max_envelope_segments`` — itself a one-sided upper coarsening — and
-#: two coarsenings at different caps are each conservative against the
-#: true system without being mutually ordered.  The reference must
-#: therefore never coarsen at all; this cap is far above what any
+#: default ``AnalysisConfig`` tidies every envelope down to
+#: ``max_envelope_segments`` — a one-sided upper coarsening — so the
+#: reference must never coarsen at all; this cap is far above what any
 #: scenario-sized analysis produces.
 EXACT_SEGMENT_CAP = 1_000_000
 
@@ -79,8 +77,6 @@ class CheckOptions:
     differential: bool = True
     coarsening: bool = True
     replay: bool = True
-    #: Segment cap used by the coarsening-conservative check.
-    coarse_segments: int = 32
     #: **Test-only.**  Scales the analytic bound before the packet-sim
     #: comparison; a value below 1 plants an artificial bound violation so
     #: the shrinker and the reporting path can be exercised without a real
@@ -149,7 +145,7 @@ def check_scenario(
     if opts.packet:
         _check_packet_bounds(outcome, opts, violations, stats)
     if opts.coarsening:
-        _check_coarsening(outcome, opts, violations)
+        _check_coarsening(outcome, violations)
     if opts.differential and spec.cac.incremental:
         _check_incremental(spec, outcome, violations)
     if opts.replay:
@@ -229,49 +225,45 @@ def _check_packet_bounds(
 
 
 def _check_coarsening(
-    outcome: loader.ScenarioOutcome,
-    opts: CheckOptions,
-    violations: List[Violation],
+    outcome: loader.ScenarioOutcome, violations: List[Violation]
 ) -> None:
     loads = outcome.active_loads()
     if not loads:
         return
-    # Recompute truly exact bounds over the final admitted set.  Neither
-    # the recorded bounds (possibly coarsened by the spec's CAC knob) nor
-    # a default-config recomputation qualifies as the reference: the
-    # default analysis still tidies envelopes to ``max_envelope_segments``,
-    # and two coarsenings at different caps are not mutually ordered.
+    cac = outcome.cac
+    try:
+        bounds = cac.current_delays()
+    except UnstableSystemError:
+        # The product's bound is infinite, which dominates any exact one.
+        return
+    # Recompute truly exact bounds over the final admitted set: the CAC's
+    # analyzer tidies envelopes to ``max_envelope_segments``, the reference
+    # never coarsens.
     exact_analyzer = DelayAnalyzer(
-        loader.build_topology(outcome.spec),
-        outcome.spec.topology,
+        cac.topology,
+        cac.network_config,
         AnalysisConfig(max_envelope_segments=EXACT_SEGMENT_CAP),
     )
     try:
         exact_reports = exact_analyzer.compute(loads)
     except (UnstableSystemError, BufferOverflowError):
-        # The exact bound is infinite; any coarse bound dominates it.
+        # The exact bound is infinite, yet the product's is finite.
+        violations.append(
+            Violation(
+                INV_COARSE,
+                "exact analysis of the admitted set is unstable, but the "
+                "tidied analysis bounds it",
+            )
+        )
         return
-    analyzer = DelayAnalyzer(
-        loader.build_topology(outcome.spec),
-        outcome.spec.topology,
-        AnalysisConfig(coarsen_segments=opts.coarse_segments),
-    )
-    try:
-        reports = analyzer.compute(loads)
-    except (UnstableSystemError, BufferOverflowError):
-        # Coarsening made a stage unstable / overflowed a buffer: the
-        # coarse bound is infinite, which trivially dominates the exact.
-        return
-    for conn_id in sorted(reports):
-        if conn_id not in exact_reports:
-            continue
+    for conn_id in sorted(bounds):
         exact_bound = exact_reports[conn_id].total_delay
-        coarse_bound = reports[conn_id].total_delay
-        if coarse_bound < exact_bound - BOUND_TOLERANCE:
+        bound = bounds[conn_id]
+        if bound < exact_bound - BOUND_TOLERANCE:
             violations.append(
                 Violation(
                     INV_COARSE,
-                    f"{conn_id}: coarsened bound {coarse_bound:.6f} s below "
+                    f"{conn_id}: tidied bound {bound:.6f} s below "
                     f"exact bound {exact_bound:.6f} s",
                 )
             )
@@ -284,11 +276,7 @@ def _check_incremental(
 ) -> None:
     full_spec = dataclasses.replace(
         spec,
-        cac=AnalysisKnobs(
-            beta=spec.cac.beta,
-            incremental=False,
-            coarsen_segments=spec.cac.coarsen_segments,
-        ),
+        cac=AnalysisKnobs(beta=spec.cac.beta, incremental=False),
     )
     full = loader.run_scenario(full_spec)
     if full.signature != outcome.signature:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import AnalysisConfig, CACConfig
+from repro.config import CACConfig
 from repro.core.cac import AdmissionController, AdmissionResult
 from repro.core.delay import ConnectionLoad
 from repro.errors import ReproError, ScenarioSpecError
@@ -65,10 +65,7 @@ def build_topology(spec: ScenarioSpec) -> NetworkTopology:
 def cac_config(spec: ScenarioSpec) -> CACConfig:
     """The CAC config the spec's knobs imply."""
     knobs = spec.cac
-    analysis = AnalysisConfig(coarsen_segments=knobs.coarsen_segments)
-    return CACConfig(
-        beta=knobs.beta, incremental=knobs.incremental, analysis=analysis
-    )
+    return CACConfig(beta=knobs.beta, incremental=knobs.incremental)
 
 
 def connection_sim_config(spec: ScenarioSpec) -> ConnectionSimConfig:
@@ -136,7 +133,7 @@ class ScenarioOutcome:
     """Everything one scenario execution produced.
 
     Holds the *live* controller and topology so invariant checks (ledger
-    audit, packet validation, coarsened re-analysis) can interrogate the
+    audit, packet validation, exact re-analysis) can interrogate the
     exact final state rather than a summary of it.
     """
 

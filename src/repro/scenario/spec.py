@@ -48,14 +48,10 @@ class AnalysisKnobs:
     #: Interference-partition incremental analysis (bit-identical to the
     #: full recomputation; the differential checker verifies exactly that).
     incremental: bool = True
-    #: Conservative curve coarsening cap (None = exact mode).
-    coarsen_segments: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.beta <= 1.0):
             raise ScenarioSpecError("beta must be in [0, 1]")
-        if self.coarsen_segments is not None and self.coarsen_segments < 8:
-            raise ScenarioSpecError("coarsen_segments must be >= 8 (or None)")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,8 +8,8 @@ against live connection signalling, hardened end-to-end for faults:
 * :mod:`repro.service.server` — the asyncio :class:`AdmissionService`
   over one controller: bounded priority queue with load shedding,
   per-request deadlines with ``TIMEOUT`` verdicts, write-ahead journaling,
-  and a graceful-degradation ladder (exact analysis -> conservative
-  coarsening -> admission freeze) driven by measured decision latency;
+  and a degradation ladder (exact analysis <-> admission freeze) driven
+  by measured decision latency;
 * :mod:`repro.service.journal` — the crash-recovery journal and snapshot
   store: a killed server restores bit-identically;
 * :mod:`repro.service.frontend` — a JSON-lines TCP front-end;
@@ -20,7 +20,7 @@ against live connection signalling, hardened end-to-end for faults:
 
 from __future__ import annotations
 
-from repro.service.degrade import COARSENED, EXACT, FROZEN, DegradationLadder
+from repro.service.degrade import EXACT, FROZEN, DegradationLadder
 from repro.service.journal import JournalStore
 from repro.service.server import (
     ADMITTED,
@@ -37,7 +37,6 @@ from repro.service.server import (
 __all__ = [
     "ADMITTED",
     "BUSY",
-    "COARSENED",
     "ERROR",
     "EXACT",
     "FROZEN",

@@ -3,21 +3,20 @@
 The admission decision is the expensive step (a binary search of delay
 analyses), and its cost grows with the size of the interference component
 it lands in.  Rather than letting the queue back up unboundedly, the
-service climbs a ladder of progressively cheaper operating modes:
+service moves between two rungs:
 
-* ``EXACT`` — the default: bit-exact delay analysis;
-* ``COARSENED`` — every propagated curve capped at
-  ``ServiceConfig.degraded_segments`` breakpoints by *conservative*
-  coarsening (arrival envelopes rounded up, service curves down), so all
-  bounds remain valid — admission becomes strictly more conservative,
-  never unsafe, just faster;
+* ``EXACT`` — the default: every admission is decided by the delay
+  analysis;
 * ``FROZEN`` — new admissions are shed with ``BUSY`` (releases always
   pass; they shrink the problem).
+
+Every decision runs the same exact analysis, so the bound a decision
+records never depends on host speed.
 
 Transitions use an EWMA of decision latency with hysteresis
 (``degrade_hi`` to engage, ``degrade_lo`` to disengage, ``degrade_lo <
 degrade_hi``) and a minimum dwell in decisions, so the ladder cannot flap
-between rungs on a single outlier.  While FROZEN the ladder would observe
+on a single outlier.  While FROZEN the ladder would observe
 no latencies at all (everything is shed) and could never recover; instead
 every ``freeze_probe_every``-th shed admission is decided anyway as a
 **thaw probe**, feeding the EWMA so the ladder can step back down once
@@ -31,13 +30,12 @@ from typing import List, Optional
 
 from repro.units import MS_PER_S
 
-from repro.config import AnalysisConfig, ServiceConfig
+from repro.config import ServiceConfig
 
 EXACT = 0
-COARSENED = 1
-FROZEN = 2
+FROZEN = 1
 
-LEVEL_NAMES = {EXACT: "EXACT", COARSENED: "COARSENED", FROZEN: "FROZEN"}
+LEVEL_NAMES = {EXACT: "EXACT", FROZEN: "FROZEN"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +58,7 @@ class LadderTransition:
 
 
 class DegradationLadder:
-    """Hysteretic EXACT -> COARSENED -> FROZEN controller."""
+    """Hysteretic EXACT <-> FROZEN controller."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -83,7 +81,7 @@ class DegradationLadder:
 
     @property
     def frozen(self) -> bool:
-        return self.level >= FROZEN
+        return self.level == FROZEN
 
     def observe(self, latency: float) -> None:
         """Feed one decision latency (seconds); may change the level."""
@@ -95,10 +93,10 @@ class DegradationLadder:
             self._ewma += self._alpha * (latency - self._ewma)
         if self._dwell < self.config.min_dwell:
             return
-        if self._ewma > self.config.degrade_hi and self.level < FROZEN:
-            self._step(self.level + 1)
-        elif self._ewma < self.config.degrade_lo and self.level > EXACT:
-            self._step(self.level - 1)
+        if self._ewma > self.config.degrade_hi and self.level == EXACT:
+            self._step(FROZEN)
+        elif self._ewma < self.config.degrade_lo and self.level == FROZEN:
+            self._step(EXACT)
 
     def _step(self, to_level: int) -> None:
         self.transitions.append(
@@ -126,13 +124,3 @@ class DegradationLadder:
             return True
         self._frozen_sheds += 1
         return self._frozen_sheds % self.config.freeze_probe_every == 0
-
-    # -- analysis config -------------------------------------------------
-
-    def analysis_for(self, base: AnalysisConfig) -> AnalysisConfig:
-        """The analysis config decisions must run under at this rung."""
-        if self.level == EXACT:
-            return base
-        return dataclasses.replace(
-            base, coarsen_segments=self.config.degraded_segments
-        )

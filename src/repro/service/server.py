@@ -232,7 +232,6 @@ class AdmissionService:
         #: own, but they miss no-route rejections and journal replay.
         self.n_requests = 0
         self.n_admitted = 0
-        self._base_analysis = self.controller.config.analysis
         self._retry_policy = RetryPolicy(
             base_delay=self.config.retry_base_delay,
             factor=self.config.retry_factor,
@@ -494,9 +493,6 @@ class AdmissionService:
             compute_route(controller.topology, spec.source_host, spec.dest_host)
         except RoutingError as exc:
             return self._finish_reject(conn_id, f"no route: {exc}", latency=0.0)
-        controller.set_analysis_config(
-            self.ladder.analysis_for(self._base_analysis)
-        )
         t0 = self.clock()
         result = controller.request(spec)
         latency = self.clock() - t0

@@ -3,8 +3,8 @@
 The output envelope of :meth:`FDDIMacServer.analyze` is pinned bit for
 bit (a digest of the ``repr`` of its ``xs``/``ys``/``slopes`` lists) on
 inputs whose busy intervals cover none, a few, and many token rotations,
-a thinned candidate grid, a busy interval reaching the staircase's affine
-tail, and a coarsened staircase.  Any change to ``deconvolve``'s
+a thinned candidate grid, and a busy interval reaching the staircase's
+affine tail.  Any change to ``deconvolve``'s
 candidates, reductions or result construction that moves a single bit
 fails here.
 """
@@ -54,10 +54,6 @@ PINS = {
     "affine-tail": (
         2.45e5, 64, INF, {"max_steps": 8}, 161.25, 331,
         "a4ae763e7756549e1acf8516765ec77cd4fa1ec004dbc697a3df4c389f66fe29",
-    ),
-    "segments16": (
-        2.45e5, 64, INF, {"service_segments": 16}, 112.0, 187,
-        "e92c891d981615b798e2a3822e76732710e3dd3521b215bfbe94a482d5f3108c",
     ),
 }
 

@@ -47,9 +47,6 @@ SERVERS = {
     "fddi-affine-tail": lambda h, plans, buf: FDDIMacServer(
         h, TTRT, BANDWIDTH, buffer_bits=buf, max_steps=8, plans=plans
     ),
-    "fddi-segments16": lambda h, plans, buf: FDDIMacServer(
-        h, TTRT, BANDWIDTH, buffer_bits=buf, service_segments=16, plans=plans
-    ),
     "802.5": lambda h, plans, buf: TokenRing8025MacServer(
         h, TTRT, BANDWIDTH, buffer_bits=buf, plans=plans
     ),

@@ -94,6 +94,13 @@ DEFECTS = [
         '            f"{len(self._allocations)} connections)"\n',
         "RL002",
     ),
+    Defect(
+        "rl002-frame-bytes-times-eight",
+        "repro/fddi/timed_token.py",
+        "MAX_FRAME_BITS = int(bytes_to_bits(FDDI_MAX_FRAME_BYTES))\n",
+        "MAX_FRAME_BITS = int(FDDI_MAX_FRAME_BYTES * 8)\n",
+        "RL002",
+    ),
     # -- RL003 float safety --------------------------------------------
     Defect(
         "rl003-is-close-exact",

@@ -73,6 +73,15 @@ class TestRL002UnitDiscipline:
             lint_source(source, "c.py", virtual_path="repro/config.py") == []
         )
 
+    def test_bits_per_byte_next_to_a_byte_count_is_flagged(self):
+        source = (
+            "from repro.units import CELL_BYTES\n"
+            "cell_bits = CELL_BYTES * 8\n"
+            "cells = 2 * CELL_BYTES\n"
+        )
+        findings = lint_source(source, "c.py", virtual_path="repro/config.py")
+        assert [(f.code, f.line) for f in findings] == [("RL002", 2)]
+
 
 class TestRL003FloatSafety:
     def test_bad_fixture_is_flagged(self):

@@ -1,0 +1,41 @@
+"""The coarsening invariant judges the coarsening the product does."""
+
+from repro.envelopes.curve import Curve
+from repro.scenario.check import INV_COARSE, CheckOptions, check_scenario
+from repro.scenario.spec import ConnectionEntry, ScenarioSpec
+from repro.traffic.dual_periodic import DualPeriodicTraffic
+
+#: Only the coarsening invariant runs.
+COARSENING_ONLY = CheckOptions(packet=False, differential=False, replay=False)
+
+
+def _spec() -> ScenarioSpec:
+    # Over the 0.5 s envelope horizon a 5 ms period gives source envelopes
+    # well past the default 96-segment tidy cap, so the CAC's analysis
+    # coarsens them.
+    traffic = DualPeriodicTraffic(c1=60_000.0, p1=0.015, c2=30_000.0, p2=0.005)
+    return ScenarioSpec(
+        name="tidied",
+        connections=tuple(
+            ConnectionEntry(f"c{k}", f"host1-{k}", f"host2-{k}", traffic, 0.09)
+            for k in (1, 2, 3)
+        ),
+    )
+
+
+def test_the_default_tidy_is_conservative():
+    report = check_scenario(_spec(), COARSENING_ONLY)
+    assert report.stats["n_active"] == 3
+    assert report.ok, report.format()
+
+
+def test_a_tidy_that_rounds_down_is_caught(monkeypatch):
+    rounds_up = Curve.coarsen
+
+    def rounds_down(self, max_segments, direction="upper"):
+        return rounds_up(self, max_segments, direction="lower")
+
+    monkeypatch.setattr(Curve, "coarsen", rounds_down)
+    report = check_scenario(_spec(), COARSENING_ONLY)
+    assert report.stats["n_active"] == 3
+    assert report.violated_invariants == (INV_COARSE,)

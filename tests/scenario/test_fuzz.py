@@ -19,6 +19,10 @@ from repro.scenario.fuzz import (
     write_manifest,
 )
 
+#: The committed corpus manifest.
+CORPUS_MANIFEST = os.path.join(
+    os.path.dirname(__file__), "..", "..", "corpus", "scenarios.json"
+)
 #: A handful of cheap, known-clean seeds for smoke-level corpus runs.
 SMOKE_SEEDS = (1, 2, 3)
 #: Planted-violation options (see CheckOptions.bound_scale); differential,
@@ -120,6 +124,18 @@ class TestManifest:
         assert not summary.ok
         with pytest.raises(ScenarioInvariantError, match="drift"):
             summary.raise_first()
+
+    def test_committed_hashes_match_the_generator(self):
+        # The CI corpus check runs only a prefix of the seeds; this covers
+        # every committed case.
+        cases = load_manifest(CORPUS_MANIFEST)
+        assert len(cases) == 500
+        drifted = [
+            case.seed
+            for case in cases
+            if codec.spec_hash(generate_spec(case.seed)) != case.expected_hash
+        ]
+        assert drifted == []
 
     def test_bad_manifest_rejected(self, tmp_path):
         path = str(tmp_path / "bad.json")

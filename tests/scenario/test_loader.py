@@ -49,15 +49,6 @@ class TestCacConfig:
         assert cfg.beta == 0.25
         assert cfg.incremental is False
 
-    def test_coarsened_mode_materializes(self):
-        spec = ScenarioSpec(
-            name="t",
-            cac=AnalysisKnobs(coarsen_segments=16),
-            arrivals=ArrivalsSpec(utilization=0.3),
-        )
-        cfg = loader.cac_config(spec)
-        assert cfg.analysis.coarsen_segments == 16
-
 
 class TestConnectionSimConfig:
     def test_matches_hand_built_figure_point(self):

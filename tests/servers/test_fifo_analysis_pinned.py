@@ -8,8 +8,7 @@ the engine's port cache, each output checked equal to the fixed-point
 the FIFO ATM output port, and the leaky-bucket regulator.
 Each is pinned bit for bit (a sha256 of the ``repr`` of its bounds and
 output ``xs``/``ys``/``slopes`` lists) on inputs with jumps, ramps,
-Theorem-1 output envelopes, token buckets, a quantized delay and a
-coarsened aggregate.  A change to the busy-interval, backlog or
+Theorem-1 output envelopes, token buckets and a quantized delay.  A change to the busy-interval, backlog or
 rate-cap kernels that moves a single bit fails here.
 """
 
@@ -77,28 +76,24 @@ def _envelopes(name):
     ]
 
 
-#: name -> (envelopes, port latency, delay quantum, coarsen segments,
+#: name -> (envelopes, port latency, delay quantum,
 #:          sha256 of the repr of (delay, backlog, busy, shift, outputs)).
 PORT_PINS = {
     "jumps": (
-        "jumps", 2e-6, 0.0, None,
+        "jumps", 2e-6, 0.0,
         "9b220d946e09b6e3e8e37a8e58e8eaa52762c32657bbbd36b04405ffbe68d38b",
     ),
     "ramps-quantum": (
-        "ramps", 0.0, 1e-4, None,
+        "ramps", 0.0, 1e-4,
         "5754cb44886c9f895bf769b82ec40f987c699d15ea0b9d72b3659c8e4d4301d0",
     ),
     "mac-outputs": (
-        "mac-outputs", 5e-6, 1e-5, None,
+        "mac-outputs", 5e-6, 1e-5,
         "42d71c5e2334edb6cdc663db5f2b95dd364b76a1878e62ad8347122ce3cd1a52",
     ),
     "token-buckets": (
-        "token-buckets", 0.0, 0.0, None,
+        "token-buckets", 0.0, 0.0,
         "06ef570042c489c0589e87dc6357bdfea326d72a5a6f70d5401bb10576225c8d",
-    ),
-    "heavy-coarse": (
-        "heavy", 1e-5, 1e-4, 32,
-        "172238e3b2b7cf0650ebfaad744b9a5c9e2ca78225fff01511a706157651db57",
     ),
 }
 
@@ -164,14 +159,12 @@ def _analysis(result):
 
 @pytest.mark.parametrize("case", sorted(PORT_PINS))
 def test_analyze_port_is_pinned(case):
-    name, latency, quantum, coarsen, digest = PORT_PINS[case]
+    name, latency, quantum, digest = PORT_PINS[case]
     port = OutputPortServer(OC3, port_latency=latency)
     members = dict(enumerate(_envelopes(name)))
     analyzer = DelayAnalyzer(
         build_network(),
-        analysis_config=AnalysisConfig(
-            output_delay_quantum=quantum, coarsen_segments=coarsen
-        ),
+        analysis_config=AnalysisConfig(output_delay_quantum=quantum),
     )
     delay, backlog, busy, shift, outputs = analyzer._analyze_port_cached(
         port, members
@@ -179,9 +172,8 @@ def test_analyze_port_is_pinned(case):
     for key, envelope in members.items():
         fixed_point = analyzer._port_output(envelope, port.service_rate, shift)
         assert _lists(fixed_point) == _lists(outputs[key])
-    if coarsen is None:
-        aggregate = sum_curves(members.values())
-        assert port.analyze_aggregate(aggregate) == (delay, backlog, busy)
+    aggregate = sum_curves(members.values())
+    assert port.analyze_aggregate(aggregate) == (delay, backlog, busy)
     pinned = (delay, backlog, busy, shift, [_lists(outputs[k]) for k in members])
     assert _digest(pinned) == digest
 

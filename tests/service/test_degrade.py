@@ -1,9 +1,7 @@
-"""Unit tests for the graceful-degradation ladder (EWMA + hysteresis)."""
+"""Unit tests for the degradation ladder (EWMA + hysteresis, two rungs)."""
 
-import dataclasses
-
-from repro.config import AnalysisConfig, ServiceConfig
-from repro.service.degrade import COARSENED, EXACT, FROZEN, DegradationLadder
+from repro.config import ServiceConfig
+from repro.service.degrade import EXACT, FROZEN, DegradationLadder
 
 
 def _config(**overrides):
@@ -12,7 +10,6 @@ def _config(**overrides):
         degrade_hi=0.5,
         degrade_lo=0.2,
         min_dwell=4,
-        degraded_segments=32,
         freeze_probe_every=4,
     )
     base.update(overrides)
@@ -24,7 +21,7 @@ class TestTransitions:
         ladder = DegradationLadder(_config())
         assert ladder.level == EXACT
         ladder.observe(10.0)  # first observation seeds the EWMA directly
-        assert ladder.level == COARSENED
+        assert ladder.level == FROZEN
         assert len(ladder.transitions) == 1
 
     def test_single_mild_observation_does_not_engage(self):
@@ -34,16 +31,16 @@ class TestTransitions:
 
     def test_walks_to_frozen_only_after_dwell(self):
         ladder = DegradationLadder(_config(min_dwell=4))
-        for _ in range(3):
-            ladder.observe(1.0)
-        # The first observation stepped EXACT -> COARSENED; the EWMA is
-        # still far above hi, but dwell forbids the second rung until
-        # min_dwell observations have passed since that step.
-        assert ladder.level == COARSENED
-        ladder.observe(1.0)
         ladder.observe(1.0)
         assert ladder.level == FROZEN
-        assert [t.to_level for t in ladder.transitions] == [COARSENED, FROZEN]
+        # The EWMA falls far below lo at once, but dwell forbids the step
+        # back until min_dwell observations have passed since the freeze.
+        for _ in range(3):
+            ladder.observe(0.0)
+        assert ladder.level == FROZEN
+        ladder.observe(0.0)
+        assert ladder.level == EXACT
+        assert [t.to_level for t in ladder.transitions] == [FROZEN, EXACT]
 
     def test_recovers_with_hysteresis(self):
         ladder = DegradationLadder(_config())
@@ -57,12 +54,14 @@ class TestTransitions:
         for _ in range(30):
             ladder.observe(0.0)
         assert ladder.level == EXACT
-        assert [t.to_level for t in ladder.transitions] == [
-            COARSENED,
-            FROZEN,
-            COARSENED,
-            EXACT,
-        ]
+        assert [t.to_level for t in ladder.transitions] == [FROZEN, EXACT]
+
+    def test_levels_are_named(self):
+        ladder = DegradationLadder(_config())
+        ladder.observe(10.0)
+        assert ladder.transitions[0].describe().startswith(
+            "decision 1: EXACT -> FROZEN"
+        )
 
 
 class TestFreezeGate:
@@ -77,21 +76,3 @@ class TestFreezeGate:
     def test_not_frozen_always_allows(self):
         ladder = DegradationLadder(_config())
         assert all(ladder.admit_allowed() for _ in range(10))
-
-
-class TestAnalysisSwap:
-    def test_exact_keeps_base_config(self):
-        ladder = DegradationLadder(_config())
-        base = AnalysisConfig()
-        assert ladder.analysis_for(base) is base
-
-    def test_coarsened_swaps_segments(self):
-        ladder = DegradationLadder(_config(degraded_segments=32))
-        ladder.observe(10.0)
-        assert ladder.level == COARSENED
-        base = AnalysisConfig()
-        degraded = ladder.analysis_for(base)
-        assert degraded.coarsen_segments == 32
-        assert dataclasses.replace(degraded, coarsen_segments=None) == (
-            dataclasses.replace(base, coarsen_segments=None)
-        )

@@ -308,6 +308,50 @@ class TestFreeze:
         assert final == EXACT
 
 
+class TestSlowDecisions:
+    def test_slow_decisions_never_change_a_recorded_bound(self):
+        # Every decision measures one second, so the ladder freezes and
+        # later admits are decided only as thaw probes.  TRAFFIC's
+        # envelopes have more than 32 breakpoints, so an analysis run at
+        # any coarser accuracy would record a different bound.
+        specs = {
+            f"slow-{j}": _spec(
+                f"slow-{j}",
+                f"host{j % 4 + 1}-{j // 4 + 1}",
+                f"host{(j + 1) % 4 + 1}-{j // 4 + 1}",
+                0.15,
+            )
+            for j in range(16)
+        }
+
+        async def scenario():
+            service = _service(
+                clock=TickClock(step=1.0),
+                latency_window=2,
+                min_dwell=2,
+                freeze_probe_every=2,
+            )
+            async with service:
+                responses = [
+                    await service.submit_admit(spec) for spec in specs.values()
+                ]
+                return responses, service.metrics.n_thaw_probes
+
+        responses, thaw_probes = run(scenario())
+        admitted = [r for r in responses if r.verdict == ADMITTED]
+        assert thaw_probes > 0
+        assert len(admitted) > 3
+        # A default controller, fed the admitted sequence, records the
+        # same bound for each admission.
+        reference = AdmissionController(
+            build_network(NET), network_config=NET, cac_config=CACConfig()
+        )
+        for response in admitted:
+            result = reference.request(specs[response.conn_id])
+            assert result.admitted
+            assert response.delay_bound == result.delay_bound
+
+
 class TestConcurrencyRegressions:
     """Races found by reprolint RL007 and fixed with explicit idioms."""
 
