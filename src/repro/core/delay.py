@@ -510,13 +510,13 @@ class DelayAnalyzer:
         """Simplify and (if over budget) conservatively coarsen an envelope.
 
         Envelopes are *upper* bounds on traffic, so coarsening rounds them
-        up (``direction="upper"``) — every downstream delay/backlog bound
-        stays a valid upper bound.  The budget is ``max_envelope_segments``.
+        up — every downstream delay/backlog bound stays a valid upper
+        bound.  The budget is ``max_envelope_segments``.
         """
         envelope = envelope.simplify()
         cap = self.analysis.max_envelope_segments
         if len(envelope.xs) > cap:
-            envelope = envelope.coarsen(cap, direction="upper")
+            envelope = envelope.coarsen(cap)
         return envelope
 
     def _analyze_dedicated(

@@ -463,50 +463,35 @@ class Curve:
             self.xs[keep], self.ys[keep], self.slopes[keep], validate=False
         )
 
-    def coarsen(self, max_segments: int, direction: str = "upper") -> "Curve":
+    def coarsen(self, max_segments: int) -> "Curve":
         """Return a *conservative approximation* with at most ``max_segments``.
 
-        Used to keep breakpoint counts bounded when envelopes accumulate
-        structure across many servers.  The rounding side depends on what
-        the curve models:
+        Used to keep arrival envelopes' breakpoint counts bounded when they
+        accumulate structure across many servers.  The result dominates the
+        original everywhere, so admitted traffic is over-estimated and
+        downstream delay bounds remain valid (only more pessimistic).
 
-        * ``direction="upper"`` (arrival envelopes) — the result dominates
-          the original everywhere, so admitted traffic is over-estimated and
-          downstream delay bounds remain valid (only more pessimistic);
-        * ``direction="lower"`` (service/availability curves) — the result
-          is dominated by the original everywhere, so guaranteed service is
-          under-estimated, which is again the safe side for delay bounds.
-
-        Both sides keep an evenly-spread subset of breakpoints and replace
-        each inter-breakpoint span by a constant: the original's supremum
-        over the span (its left limit at the next kept breakpoint) for the
-        upper side, its infimum (the right value at the span's start) for
-        the lower side.  From the last kept breakpoint onwards the coarse
-        curve equals the original exactly, so the long-term rate — and with
-        it every stability check — is preserved.
+        It keeps an evenly-spread subset of breakpoints and replaces each
+        inter-breakpoint span by a constant: the original's supremum over
+        the span (its left limit at the next kept breakpoint).  From the
+        last kept breakpoint onwards the coarse curve equals the original
+        exactly, so the long-term rate — and with it every stability check
+        — is preserved.
         """
         if len(self.xs) <= max_segments:
             return self
-        if direction not in ("upper", "lower"):
-            raise CurveError(f"unknown coarsening direction {direction!r}")
         idx = np.unique(np.linspace(0, len(self.xs) - 1, max_segments).astype(int))
         new_xs = self.xs[idx]
         new_slopes = np.zeros(len(idx))
         new_slopes[-1] = self.slopes[idx[-1]]
-        if direction == "upper":
-            new_ys = np.empty(len(idx))
-            new_ys[:-1] = _left_limits_at(self, self.xs[idx[1:]])
-            new_ys[-1] = self.ys[idx[-1]]
-            ys_arr = np.maximum.accumulate(new_ys)
-        else:
-            # The right value at each kept breakpoint is a lower bound for
-            # the whole span to the next one (the curve is non-decreasing).
-            ys_arr = self.ys[idx]
+        new_ys = np.empty(len(idx))
+        new_ys[:-1] = _left_limits_at(self, self.xs[idx[1:]])
+        new_ys[-1] = self.ys[idx[-1]]
+        ys_arr = np.maximum.accumulate(new_ys)
         # Merge only *exactly* collinear breakpoints (tol=0): a tolerant
         # simplify may absorb the final segment's small positive slope into
         # a flat predecessor, and the coarse curve would eventually dip
-        # below (upper) or rise above (lower) the original — breaking the
-        # conservativeness contract.
+        # below the original — breaking the conservativeness contract.
         return Curve(new_xs, ys_arr, new_slopes, validate=False).simplify(tol=0.0)
 
     # ------------------------------------------------------------------

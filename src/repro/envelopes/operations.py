@@ -745,8 +745,7 @@ def deconvolve(
     then subtract the span's level from one ``A`` value per span, and
     since a float subtraction of the same level is monotone, the plan
     keeps the larger of the two.  Every span of a timed-token staircase
-    is flat up to its affine tail, also after
-    ``Curve.coarsen(direction="lower")``.  The reduction holds bit for
+    is flat up to its affine tail.  The reduction holds bit for
     bit whenever ``A``'s own float evaluation is non-decreasing (checked
     once per plan), because every rounding step involved is monotone: the
     result is byte-identical to scanning every candidate.  Sloped spans

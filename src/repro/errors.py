@@ -13,8 +13,12 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class ConfigurationError(ReproError):
-    """A configuration object failed validation."""
+class ConfigurationError(ReproError, ValueError):
+    """A configuration object failed validation.
+
+    Also a :class:`ValueError`: a bad value is what it reports, so code
+    that validates with ``except ValueError`` catches it too.
+    """
 
 
 class CurveError(ReproError):

@@ -16,10 +16,10 @@ import dataclasses
 from typing import List, Optional
 
 from repro.config import NetworkConfig
+from repro.network.connection import ConnectionSpec
 from repro.scenario.loader import run_packet_validation, run_scenario
 from repro.scenario.spec import (
     AnalysisKnobs,
-    ConnectionEntry,
     PacketRunSpec,
     ScenarioSpec,
 )
@@ -75,7 +75,7 @@ def run_validation(
         topology=network or NetworkConfig(),
         cac=AnalysisKnobs(beta=beta),
         connections=tuple(
-            ConnectionEntry(f"c{i}", src, dst, traffic, deadline)
+            ConnectionSpec(f"c{i}", src, dst, traffic, deadline)
             for i, (src, dst) in enumerate(pairs)
         ),
         packet=PacketRunSpec(

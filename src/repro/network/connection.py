@@ -6,6 +6,7 @@ import dataclasses
 import math
 from typing import Optional
 
+from repro.errors import ConfigurationError
 from repro.network.routing import Route
 from repro.traffic.descriptor import TrafficDescriptor
 
@@ -33,10 +34,12 @@ class ConnectionSpec:
     deadline: float
 
     def __post_init__(self) -> None:
+        if not self.conn_id:
+            raise ConfigurationError("conn_id must be non-empty")
         if not math.isfinite(self.deadline) or self.deadline <= 0:
-            raise ValueError("deadline must be positive and finite")
+            raise ConfigurationError("deadline must be positive and finite")
         if self.source_host == self.dest_host:
-            raise ValueError("source and destination must differ")
+            raise ConfigurationError("source and destination must differ")
 
 
 @dataclasses.dataclass

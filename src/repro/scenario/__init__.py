@@ -1,10 +1,13 @@
 """Unified scenario specs and the differential fuzzing harness.
 
 One declarative :class:`~repro.scenario.spec.ScenarioSpec` describes a
-complete run — topology, workload, fault schedule, policy/analysis knobs —
-and every engine consumes it through :mod:`repro.scenario.loader`.  Specs
-round-trip through JSON (:mod:`repro.scenario.codec`) with ``repr``-exact
-floats; :mod:`repro.scenario.fuzz` generates random specs and checks the
+complete run — topology, workload (stochastic arrivals and/or explicit
+:class:`~repro.network.connection.ConnectionSpec` requests, the same type
+the CAC decides on), fault schedule, policy/analysis knobs — and every
+engine consumes it through :mod:`repro.scenario.loader`.  Specs
+round-trip through JSON (:mod:`repro.scenario.codec`, derived from the
+spec dataclasses' type hints) with ``repr``-exact floats;
+:mod:`repro.scenario.fuzz` generates random specs and checks the
 differential invariant suite (:mod:`repro.scenario.check`), shrinking any
 failure to a minimal one-file reproducer (:mod:`repro.scenario.shrink`).
 
@@ -44,7 +47,6 @@ from repro.scenario.spec import (
     FORMAT_VERSION,
     AnalysisKnobs,
     ArrivalsSpec,
-    ConnectionEntry,
     FaultPlan,
     PacketRunSpec,
     ScenarioSpec,
@@ -56,7 +58,6 @@ __all__ = [
     "ArrivalsSpec",
     "CheckOptions",
     "CheckReport",
-    "ConnectionEntry",
     "FORMAT_VERSION",
     "FaultPlan",
     "FuzzCase",

@@ -31,13 +31,13 @@ from repro.config import NetworkConfig
 from repro.errors import ReproError, ScenarioInvariantError, ScenarioSpecError
 from repro.faults.injector import FaultConfig, ScriptedFault
 from repro.faults.retry import RetryPolicy
+from repro.network.connection import ConnectionSpec
 from repro.scenario import codec
 from repro.scenario.check import CheckOptions, CheckReport, check_scenario
 from repro.scenario.shrink import ShrinkResult, shrink_spec
 from repro.scenario.spec import (
     AnalysisKnobs,
     ArrivalsSpec,
-    ConnectionEntry,
     FaultPlan,
     PacketRunSpec,
     ScenarioSpec,
@@ -162,10 +162,10 @@ def _random_topo(
 
 def _random_connections(
     rng: random.Random, n_rings: int, hosts_per_ring: int
-) -> Tuple[ConnectionEntry, ...]:
+) -> Tuple[ConnectionSpec, ...]:
     """0-4 explicit cross-ring connections on distinct source hosts."""
     n = rng.randint(1, 4)
-    entries: List[ConnectionEntry] = []
+    entries: List[ConnectionSpec] = []
     used_sources = set()
     for k in range(n):
         src_ring = rng.randint(1, n_rings)
@@ -178,7 +178,7 @@ def _random_connections(
         used_sources.add(source)
         dest = f"host{dst_ring}-{rng.randint(1, hosts_per_ring)}"
         entries.append(
-            ConnectionEntry(
+            ConnectionSpec(
                 conn_id=f"fz-{k}",
                 source_host=source,
                 dest_host=dest,
@@ -269,7 +269,7 @@ def generate_spec(seed: int, name: Optional[str] = None) -> ScenarioSpec:
             count_host_blocked=rng.random() < 0.2,
         )
 
-    connections: Tuple[ConnectionEntry, ...] = ()
+    connections: Tuple[ConnectionSpec, ...] = ()
     if want_explicit:
         connections = _random_connections(rng, n_rings, hosts_per_ring)
         if not connections and arrivals is None:

@@ -102,20 +102,6 @@ def admission_controller(
     )
 
 
-def offered_connections(spec: ScenarioSpec) -> List[ConnectionSpec]:
-    """The explicit connection list as CAC request specs, in order."""
-    return [
-        ConnectionSpec(
-            conn_id=entry.conn_id,
-            source_host=entry.source_host,
-            dest_host=entry.dest_host,
-            traffic=entry.traffic,
-            deadline=entry.deadline,
-        )
-        for entry in spec.connections
-    ]
-
-
 @dataclasses.dataclass(frozen=True)
 class ExplicitDecision:
     """Outcome of one explicit connection's admission request."""
@@ -231,13 +217,13 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         simulator = ConnectionSimulator(connection_sim_config(spec))
         cac = simulator.cac
         topology = simulator.topology
-        for conn in offered_connections(spec):
+        for conn in spec.connections:
             explicit.append(_admit_explicit(simulator.preadmit, conn))
         sim_result: Optional[SimResult] = simulator.run()
     else:
         topology = build_topology(spec)
         cac = admission_controller(spec, topology)
-        for conn in offered_connections(spec):
+        for conn in spec.connections:
             explicit.append(_admit_explicit(cac.request, conn))
         sim_result = None
     return ScenarioOutcome(

@@ -30,7 +30,8 @@ import re
 from typing import Callable, FrozenSet, List, Sequence, Tuple, TypeVar
 
 from repro.errors import ReproError
-from repro.scenario.spec import ArrivalsSpec, ConnectionEntry, ScenarioSpec
+from repro.network.connection import ConnectionSpec
+from repro.scenario.spec import ArrivalsSpec, ScenarioSpec
 
 _T = TypeVar("_T")
 
@@ -79,7 +80,7 @@ class _Shrinker:
     def pass_connections(self, spec: ScenarioSpec) -> ScenarioSpec:
         if not spec.connections:
             return spec
-        def fails_with(entries: Sequence[ConnectionEntry]) -> bool:
+        def fails_with(entries: Sequence[ConnectionSpec]) -> bool:
             try:
                 candidate = spec.with_connections(entries)
             except ReproError:
@@ -353,12 +354,12 @@ def _with_arrivals(spec: ScenarioSpec, **changes: object) -> ScenarioSpec:
     )
 
 
-def _entry(spec: ScenarioSpec, index: int) -> ConnectionEntry:
+def _entry(spec: ScenarioSpec, index: int) -> ConnectionSpec:
     return spec.connections[index]
 
 
 def _with_entry(
-    spec: ScenarioSpec, index: int, entry: ConnectionEntry
+    spec: ScenarioSpec, index: int, entry: ConnectionSpec
 ) -> ScenarioSpec:
     entries = list(spec.connections)
     entries[index] = entry

@@ -29,10 +29,10 @@ from typing import Optional, Sequence, Tuple
 
 from repro.config import NetworkConfig, SimulationConfig
 from repro.errors import ScenarioSpecError, TopologyError
-from repro.topo.spec import TopologySpec
 from repro.faults.injector import FaultConfig, FaultScript, ScriptedFault
 from repro.faults.retry import RetryPolicy
-from repro.traffic.descriptor import TrafficDescriptor
+from repro.network.connection import ConnectionSpec
+from repro.topo.spec import TopologySpec
 from repro.traffic.generators import WorkloadSpec
 
 #: Current on-disk format version (bumped on incompatible codec changes).
@@ -99,25 +99,6 @@ class ArrivalsSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class ConnectionEntry:
-    """One explicitly offered connection (admitted in list order)."""
-
-    conn_id: str
-    source_host: str
-    dest_host: str
-    traffic: TrafficDescriptor
-    deadline: float
-
-    def __post_init__(self) -> None:
-        if not self.conn_id:
-            raise ScenarioSpecError("conn_id must be non-empty")
-        if self.deadline <= 0:
-            raise ScenarioSpecError("deadline must be positive")
-        if self.source_host == self.dest_host:
-            raise ScenarioSpecError("source and destination must differ")
-
-
-@dataclasses.dataclass(frozen=True)
 class FaultPlan:
     """Fault schedule: stochastic processes, scripted events, retry knobs."""
 
@@ -163,8 +144,9 @@ class ScenarioSpec:
 
     * ``arrivals`` — the stochastic connection-request process driven
       through :class:`~repro.sim.connection_sim.ConnectionSimulator`;
-    * ``connections`` — an explicit list admitted through the CAC in
-      order (rejections are recorded, not fatal).
+    * ``connections`` — an explicit list of
+      :class:`~repro.network.connection.ConnectionSpec` requests admitted
+      through the CAC in order (rejections are recorded, not fatal).
 
     When both are present the explicit connections are admitted first and
     the stochastic workload churns on top of them.
@@ -181,7 +163,7 @@ class ScenarioSpec:
     topo: Optional[TopologySpec] = None
     cac: AnalysisKnobs = dataclasses.field(default_factory=AnalysisKnobs)
     arrivals: Optional[ArrivalsSpec] = None
-    connections: Tuple[ConnectionEntry, ...] = ()
+    connections: Tuple[ConnectionSpec, ...] = ()
     faults: Optional[FaultPlan] = None
     packet: PacketRunSpec = dataclasses.field(default_factory=PacketRunSpec)
 
@@ -217,7 +199,7 @@ class ScenarioSpec:
                 )
 
     def with_connections(
-        self, connections: Sequence[ConnectionEntry]
+        self, connections: Sequence[ConnectionSpec]
     ) -> "ScenarioSpec":
         """A copy with a different explicit connection list (shrinker)."""
         return dataclasses.replace(self, connections=tuple(connections))

@@ -152,7 +152,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
                 await apply_ops(service, trajectory_ops())
             else:
                 # Standing population: the spec's explicit connections.
-                for conn in scenario_loader.offered_connections(scenario):
+                for conn in scenario.connections:
                     await service.submit_admit(conn)
             deadline = time.monotonic() + args.seconds
             r = 0

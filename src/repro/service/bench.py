@@ -22,7 +22,7 @@ from repro.config import (
     build_network,
 )
 from repro.network.connection import ConnectionSpec
-from repro.scenario.spec import ConnectionEntry, ScenarioSpec
+from repro.scenario.spec import ScenarioSpec
 from repro.service.server import AdmissionService, ServiceResponse
 from repro.traffic.dual_periodic import DualPeriodicTraffic
 
@@ -81,7 +81,7 @@ def scenario_spec() -> ScenarioSpec:
     for a, b in ((1, 2), (3, 4), (5, 6)):
         for j in range(PER_GROUP):
             entries.append(
-                ConnectionEntry(
+                ConnectionSpec(
                     conn_id=f"bg{a}-{j}",
                     source_host=f"host{a}-{(j % 4) + 1}",
                     dest_host=f"host{b}-{((j + 1) % 4) + 1}",

@@ -65,13 +65,25 @@ def is_number(value: Any) -> bool:
 
 def _number(value: Any, field: str) -> float:
     """``value`` as a float, or :class:`JournalError` unless it
-    :func:`is_number`."""
+    :func:`is_number` and fits a float."""
     if not is_number(value):
         raise JournalError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise JournalError(f"{field} is too large for a float") from None
 
 
-def dict_to_traffic(payload: Mapping[str, Any]) -> TrafficDescriptor:
+def _text(value: Any, field: str) -> str:
+    """``value`` itself, or :class:`JournalError` unless it is a string."""
+    if not isinstance(value, str):
+        raise JournalError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def dict_to_traffic(payload: Any) -> TrafficDescriptor:
+    if not isinstance(payload, Mapping):
+        raise JournalError(f"traffic must be an object, got {payload!r}")
     data = dict(payload)
     name = data.pop("type", None)
     cls = TRAFFIC_TYPES.get(str(name))
@@ -99,11 +111,15 @@ def spec_to_dict(spec: ConnectionSpec) -> Dict[str, Any]:
 
 
 def dict_to_spec(payload: Mapping[str, Any]) -> ConnectionSpec:
+    """A connection request from its five fields, strictly: string ids and
+    hosts (a non-empty ``conn_id``), a registered traffic model and a
+    finite positive deadline.  Other keys are ignored, so the front end
+    decodes its admit requests with this too."""
     try:
         return ConnectionSpec(
-            conn_id=str(payload["conn_id"]),
-            source_host=str(payload["source_host"]),
-            dest_host=str(payload["dest_host"]),
+            conn_id=_text(payload["conn_id"], "conn_id"),
+            source_host=_text(payload["source_host"], "source_host"),
+            dest_host=_text(payload["dest_host"], "dest_host"),
             traffic=dict_to_traffic(payload["traffic"]),
             deadline=_number(payload["deadline"], "deadline"),
         )

@@ -10,6 +10,12 @@ One request object per line, one response object per line, in order::
     {"op": "metrics"}
     {"op": "ping"}
 
+``conn_id`` must be a non-empty string: an admit or release without one
+is answered ``ERROR``, and the admit's endpoint, traffic and deadline
+fields are decoded as strictly as a journaled request
+(:func:`repro.service.codec.dict_to_spec`: string hosts, a registered
+traffic model, a finite positive deadline).
+
 Responses carry at least ``verdict`` (``ADMITTED``/``REJECTED``/``BUSY``/
 ``TIMEOUT``/``RELEASED``/``UNKNOWN``/``ERROR`` — or ``OK`` for
 ``ping``/``metrics``).  A request line holds at most
@@ -27,8 +33,7 @@ import math
 from typing import Any, Dict, Optional
 
 from repro.errors import JournalError, ReproError
-from repro.network.connection import ConnectionSpec
-from repro.service.codec import dict_to_traffic, is_number
+from repro.service.codec import dict_to_spec, is_number
 from repro.service.server import AdmissionService
 
 #: Longest request line, in bytes without its newline, that a client may
@@ -41,9 +46,13 @@ def _error(reason: str, conn_id: str = "") -> Dict[str, Any]:
     return {"verdict": "ERROR", "conn_id": conn_id, "reason": reason}
 
 
-def _finite(raw: Any, key: str) -> float:
-    """``raw`` as a finite float; a bool, string or other non-number is
-    refused (:func:`~repro.service.codec.is_number`)."""
+def _number(payload: Dict[str, Any], key: str) -> Optional[float]:
+    """``payload[key]`` as a finite float (``None`` when absent); a bool,
+    string or other non-number is refused
+    (:func:`~repro.service.codec.is_number`)."""
+    raw = payload.get(key)
+    if raw is None:
+        return None
     value = math.nan
     if is_number(raw):
         try:
@@ -53,12 +62,6 @@ def _finite(raw: Any, key: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {raw!r}")
     return value
-
-
-def _number(payload: Dict[str, Any], key: str) -> Optional[float]:
-    """``payload[key]`` as a finite float (``None`` when absent)."""
-    raw = payload.get(key)
-    return None if raw is None else _finite(raw, key)
 
 
 def _timeout(payload: Dict[str, Any]) -> Optional[float]:
@@ -82,14 +85,15 @@ async def handle_request(
 ) -> Dict[str, Any]:
     """Dispatch one parsed request object to the service."""
     op = payload.get("op")
-    conn_id = str(payload.get("conn_id", ""))
+    raw_id = payload.get("conn_id")
+    conn_id = raw_id if isinstance(raw_id, str) else ""
     if op == "ping":
         return {"verdict": "OK", "op": "ping"}
     if op == "metrics":
         return {"verdict": "OK", "metrics": service.metrics_snapshot()}
     if op == "release":
         if not conn_id:
-            return _error("release needs conn_id")
+            return _error("release needs a non-empty string conn_id")
         try:
             timeout = _timeout(payload)
         except ValueError as exc:
@@ -98,16 +102,10 @@ async def handle_request(
         return response.to_dict()
     if op == "admit":
         try:
-            spec = ConnectionSpec(
-                conn_id=conn_id,
-                source_host=str(payload["source_host"]),
-                dest_host=str(payload["dest_host"]),
-                traffic=dict_to_traffic(payload["traffic"]),
-                deadline=_finite(payload["deadline"], "deadline"),
-            )
+            spec = dict_to_spec(payload)
             priority = _priority(payload)
             timeout = _timeout(payload)
-        except (KeyError, TypeError, ValueError, OverflowError, JournalError) as exc:
+        except (ValueError, JournalError) as exc:
             return _error(f"bad admit request: {exc}", conn_id)
         response = await service.submit_admit(
             spec, priority=priority, timeout=timeout

@@ -21,8 +21,8 @@ queue, decides each request inline on the event loop in dispatch order
   recovery signature and a ledger audit.
 * **graceful degradation** — the
   :class:`~repro.service.degrade.DegradationLadder` watches decision
-  latency and steps the analysis from exact to conservative coarsening to
-  an admission freeze, with hysteresis and thaw probes.
+  latency and steps from exact decisions to an admission freeze, with
+  hysteresis and thaw probes.
 """
 
 from __future__ import annotations

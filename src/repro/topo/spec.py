@@ -318,34 +318,6 @@ class TopologySpec:
         return topo
 
     # ------------------------------------------------------------------
-    # Calibration helpers
-    # ------------------------------------------------------------------
-
-    def backbone_capacity(self, defaults: Optional[NetworkConfig] = None) -> float:
-        """Aggregate undirected backbone capacity, bits/second.
-
-        The offered-load calibration generalizes the paper's
-        ``U = (lambda / (n_links mu)) rho / C`` by replacing
-        ``n_links * C`` with the sum of undirected backbone link rates.
-        Single-switch topologies have no inter-switch links; there the
-        bottleneck shared resources are the device uplinks, so half the
-        aggregate uplink rate (each connection crosses one uplink and one
-        downlink) stands in.
-        """
-        cfg = defaults if defaults is not None else NetworkConfig()
-        total = 0.0
-        for link in self.links:
-            total += link.rate if link.rate is not None else cfg.atm_link_rate
-        if total > 0.0:
-            return total
-        uplinks = 0.0
-        for dev in self.devices:
-            uplinks += (
-                dev.uplink_rate if dev.uplink_rate is not None else cfg.atm_link_rate
-            )
-        return uplinks / 2.0 if uplinks > 0.0 else cfg.atm_link_rate
-
-    # ------------------------------------------------------------------
     # Lookup helpers (used by the fuzz generator and experiments)
     # ------------------------------------------------------------------
 

@@ -282,3 +282,27 @@ def ref_deconvolve(arrival: Curve, service: Curve, t_limit: float) -> Curve:
         values.append(running)
     points: Sequence[Tuple[float, float]] = list(zip(i_grid, values))
     return Curve.from_points(points, final_slope=arrival.final_slope).simplify()
+
+
+def flat_span_staircase(curve: Curve, max_segments: int) -> Curve:
+    """A curve below ``curve`` whose spans are flat and irregular.
+
+    Keeps an evenly spread subset of at most ``max_segments`` breakpoints
+    (the indices ``numpy.linspace`` rounds to), holds each span at the
+    curve's right value at the span's start, and ends on the curve's own
+    final segment.  On a timed-token staircase it gives the uneven flat
+    spans ``deconvolve``'s per-span path reads, and as a stand-in for
+    ``Curve.coarsen`` it is a tidy that rounds the wrong way.
+    """
+    n = len(curve.xs)
+    if n <= max_segments:
+        return curve
+    step = (n - 1) / (max_segments - 1)
+    idx = sorted({int(k * step) for k in range(max_segments - 1)} | {n - 1})
+    slopes = [0.0] * len(idx)
+    slopes[-1] = float(curve.slopes[idx[-1]])
+    return Curve(
+        [float(curve.xs[i]) for i in idx],
+        [float(curve.ys[i]) for i in idx],
+        slopes,
+    ).simplify(tol=0.0)

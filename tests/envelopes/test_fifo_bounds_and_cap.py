@@ -116,7 +116,7 @@ class TestFifoBoundsIsBusyThenBacklog:
             rate * ttrt, ttrt, 1.0, n_steps=data.draw(st.integers(2, 12))
         )
         if data.draw(st.booleans()):
-            service = service.coarsen(data.draw(st.integers(8, 12)), direction="lower")
+            service = ref.flat_span_staircase(service, data.draw(st.integers(8, 12)))
         bounds = FifoBounds(arrival, service)
         busy = busy_interval(arrival, service)
         assert repr(bounds.busy) == repr(busy)

@@ -103,7 +103,7 @@ CASES = {
     "jumps": _jumps,
     "ramps": _ramps,
     "mac-outputs": _mac_outputs,
-    "coarsened": lambda: _mac_outputs().coarsen(24, direction="upper"),
+    "coarsened": lambda: _mac_outputs().coarsen(24),
 }
 
 
@@ -253,7 +253,7 @@ def aggregates(draw):
             members.append(_mac_output(min(burst, 1.5e5), 0.01, periods))
     aggregate = sum_curves(members)
     if draw(st.booleans()) and len(aggregate.xs) > 8:
-        aggregate = aggregate.coarsen(draw(st.integers(4, 32)), direction="upper")
+        aggregate = aggregate.coarsen(draw(st.integers(4, 32)))
     return aggregate
 
 

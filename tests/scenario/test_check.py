@@ -1,9 +1,11 @@
 """The coarsening invariant judges the coarsening the product does."""
 
 from repro.envelopes.curve import Curve
+from repro.network.connection import ConnectionSpec
 from repro.scenario.check import INV_COARSE, CheckOptions, check_scenario
-from repro.scenario.spec import ConnectionEntry, ScenarioSpec
+from repro.scenario.spec import ScenarioSpec
 from repro.traffic.dual_periodic import DualPeriodicTraffic
+from tests.envelopes import reference as ref
 
 #: Only the coarsening invariant runs.
 COARSENING_ONLY = CheckOptions(packet=False, differential=False, replay=False)
@@ -17,7 +19,7 @@ def _spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="tidied",
         connections=tuple(
-            ConnectionEntry(f"c{k}", f"host1-{k}", f"host2-{k}", traffic, 0.09)
+            ConnectionSpec(f"c{k}", f"host1-{k}", f"host2-{k}", traffic, 0.09)
             for k in (1, 2, 3)
         ),
     )
@@ -30,12 +32,8 @@ def test_the_default_tidy_is_conservative():
 
 
 def test_a_tidy_that_rounds_down_is_caught(monkeypatch):
-    rounds_up = Curve.coarsen
-
-    def rounds_down(self, max_segments, direction="upper"):
-        return rounds_up(self, max_segments, direction="lower")
-
-    monkeypatch.setattr(Curve, "coarsen", rounds_down)
+    # A staircase below each envelope in place of the product's coarsening.
+    monkeypatch.setattr(Curve, "coarsen", ref.flat_span_staircase)
     report = check_scenario(_spec(), COARSENING_ONLY)
     assert report.stats["n_active"] == 3
     assert report.violated_invariants == (INV_COARSE,)

@@ -1,8 +1,10 @@
 """Scenario codec: strict parsing, repr-exact floats, stable hashing."""
 
 import dataclasses
+import glob
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,12 +13,12 @@ from hypothesis import strategies as st
 from repro.errors import ScenarioSpecError
 from repro.faults.injector import FaultConfig, ScriptedFault
 from repro.faults.retry import RetryPolicy
+from repro.network.connection import ConnectionSpec
 from repro.scenario import codec
 from repro.scenario.fuzz import generate_spec
 from repro.scenario.spec import (
     AnalysisKnobs,
     ArrivalsSpec,
-    ConnectionEntry,
     FaultPlan,
     ScenarioSpec,
 )
@@ -30,6 +32,15 @@ _awkward = st.floats(
 )
 
 
+#: The committed hand-written and shrunk spec files (the fuzz manifest
+#: covers only generated seeds).
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "..", "corpus")
+SPEC_FILES = sorted(
+    glob.glob(os.path.join(CORPUS, "families", "*.json"))
+    + glob.glob(os.path.join(CORPUS, "reproducers", "*.json"))
+)
+
+
 def _simple_spec(**overrides) -> ScenarioSpec:
     base = dict(
         name="t",
@@ -37,6 +48,16 @@ def _simple_spec(**overrides) -> ScenarioSpec:
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def _connection(conn_id: str = "c1") -> ConnectionSpec:
+    return ConnectionSpec(
+        conn_id=conn_id,
+        source_host="host1-1",
+        dest_host="host2-1",
+        traffic=DualPeriodicTraffic(c1=1e3, p1=0.01, c2=5e2, p2=0.005),
+        deadline=0.05,
+    )
 
 
 class TestRoundTrip:
@@ -78,7 +99,7 @@ class TestRoundTrip:
     def test_infinity_round_trips(self):
         spec = _simple_spec(
             connections=(
-                ConnectionEntry(
+                ConnectionSpec(
                     conn_id="c1",
                     source_host="host1-1",
                     dest_host="host2-1",
@@ -114,6 +135,14 @@ class TestRoundTrip:
         spec = generate_spec(7)
         path = codec.save_file(spec, str(tmp_path / "spec.json"))
         assert codec.load_file(path) == spec
+
+    @pytest.mark.parametrize("path", SPEC_FILES, ids=os.path.basename)
+    def test_committed_spec_files_are_canonical(self, path):
+        """Each committed file is byte for byte what the codec writes for
+        the spec it holds, so any drift in the encoding shows here."""
+        assert len(SPEC_FILES) == 5
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == codec.dumps(codec.load_file(path)) + "\n"
 
 
 class TestStrictness:
@@ -153,10 +182,71 @@ class TestStrictness:
         with pytest.raises(ScenarioSpecError, match="format"):
             codec.dict_to_spec(payload)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline", "soon"),
+            ("deadline", math.inf),
+            ("deadline", math.nan),
+            ("deadline", 0.0),
+            ("deadline", 10**400),
+            ("conn_id", ""),
+            ("source_host", 5),
+        ],
+        ids=[
+            "deadline-string",
+            "deadline-inf",
+            "deadline-nan",
+            "deadline-zero",
+            "deadline-huge-int",
+            "conn-id-empty",
+            "source-host-int",
+        ],
+    )
+    def test_connection_errors_name_the_entry(self, field, value):
+        """A connection the CAC would refuse is refused at load, and the
+        error names the entry and the field."""
+        payload = codec.spec_to_dict(_simple_spec(connections=(_connection(),)))
+        payload["connections"][0][field] = value
+        with pytest.raises(
+            ScenarioSpecError, match=rf"scenario\.connections\[0\].*{field}"
+        ):
+            codec.dict_to_spec(payload)
+
+    def test_null_workload_rejected(self):
+        payload = codec.spec_to_dict(_simple_spec())
+        payload["arrivals"]["workload"] = None
+        with pytest.raises(ScenarioSpecError, match=r"arrivals\.workload"):
+            codec.dict_to_spec(payload)
+
+    def test_topo_sections_are_required(self):
+        with open(os.path.join(CORPUS, "families", "line-10.json")) as fh:
+            payload = json.load(fh)
+        del payload["topo"]["devices"]
+        with pytest.raises(ScenarioSpecError, match="devices"):
+            codec.dict_to_spec(payload)
+
+    @pytest.mark.parametrize(
+        "target",
+        [["s1", 2], ["s1"], 7, None],
+        ids=["int-endpoint", "one-endpoint", "int", "null"],
+    )
+    def test_fault_target_is_a_node_id_or_a_link_pair(self, target):
+        payload = codec.spec_to_dict(
+            _simple_spec(
+                faults=FaultPlan(
+                    script=(ScriptedFault(time=1.0, action="fail", target="id1"),)
+                )
+            )
+        )
+        payload["faults"]["script"][0]["target"] = target
+        with pytest.raises(ScenarioSpecError, match=r"script\[0\]\.target"):
+            codec.dict_to_spec(payload)
+
     def test_unknown_traffic_type_rejected(self):
         spec = _simple_spec(
             connections=(
-                ConnectionEntry(
+                ConnectionSpec(
                     conn_id="c1",
                     source_host="host1-1",
                     dest_host="host2-1",
@@ -208,7 +298,7 @@ class TestValidation:
             ScenarioSpec(name="empty")
 
     def test_duplicate_conn_ids_rejected(self):
-        entry = ConnectionEntry(
+        entry = ConnectionSpec(
             conn_id="dup",
             source_host="host1-1",
             dest_host="host2-1",
@@ -227,7 +317,7 @@ class TestValidation:
                 name="t",
                 arrivals=None,
                 connections=(
-                    ConnectionEntry(
+                    ConnectionSpec(
                         conn_id="c1",
                         source_host="host1-1",
                         dest_host="host2-1",
@@ -245,7 +335,7 @@ class TestValidation:
         with pytest.raises(ScenarioSpecError, match="pinned"):
             _simple_spec(
                 connections=(
-                    ConnectionEntry(
+                    ConnectionSpec(
                         conn_id="c1",
                         source_host="host1-1",
                         dest_host="host2-1",

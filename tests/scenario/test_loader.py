@@ -9,19 +9,19 @@ from repro.errors import ScenarioSpecError
 from repro.experiments.common import ExperimentSettings
 from repro.faults.injector import FaultConfig, ScriptedFault
 from repro.faults.retry import RetryPolicy
+from repro.network.connection import ConnectionSpec
 from repro.scenario import loader
 from repro.scenario.spec import (
     AnalysisKnobs,
     ArrivalsSpec,
-    ConnectionEntry,
     FaultPlan,
     ScenarioSpec,
 )
 from repro.traffic.dual_periodic import DualPeriodicTraffic
 
 
-def _entry(conn_id: str, src: str, dst: str) -> ConnectionEntry:
-    return ConnectionEntry(
+def _entry(conn_id: str, src: str, dst: str) -> ConnectionSpec:
+    return ConnectionSpec(
         conn_id=conn_id,
         source_host=src,
         dest_host=dst,

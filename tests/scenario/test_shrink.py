@@ -8,12 +8,13 @@ from repro.config import NetworkConfig
 from repro.scenario.check import INV_BOUND, CheckOptions, check_scenario
 from repro.scenario.fuzz import _failing_predicate
 from repro.scenario.shrink import _ddmin, shrink_spec
-from repro.scenario.spec import ConnectionEntry, PacketRunSpec, ScenarioSpec
+from repro.network.connection import ConnectionSpec
+from repro.scenario.spec import PacketRunSpec, ScenarioSpec
 from repro.traffic.dual_periodic import DualPeriodicTraffic
 
 
-def _entry(conn_id: str, src_ring: int, dst_ring: int) -> ConnectionEntry:
-    return ConnectionEntry(
+def _entry(conn_id: str, src_ring: int, dst_ring: int) -> ConnectionSpec:
+    return ConnectionSpec(
         conn_id=conn_id,
         source_host=f"host{src_ring}-1",
         dest_host=f"host{dst_ring}-1",
@@ -22,7 +23,7 @@ def _entry(conn_id: str, src_ring: int, dst_ring: int) -> ConnectionEntry:
     )
 
 
-def _explicit_spec(*entries: ConnectionEntry) -> ScenarioSpec:
+def _explicit_spec(*entries: ConnectionSpec) -> ScenarioSpec:
     return ScenarioSpec(
         name="shrink-me",
         topology=NetworkConfig(n_rings=4, hosts_per_ring=3),

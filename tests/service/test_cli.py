@@ -42,7 +42,7 @@ def test_scenario_lowering_runs_the_specs_own_network(tmp_path, capsys):
         await service.start()
         responses = [
             await service.submit_admit(conn)
-            for conn in loader.offered_connections(spec)
+            for conn in spec.connections
         ]
         live = service.signature()
         await service.simulate_kill()
@@ -60,7 +60,7 @@ def test_scenario_lowering_runs_the_specs_own_network(tmp_path, capsys):
     assert report.n_active == 3
     assert report.signature == live
     assert sorted(restored.controller.connections) == sorted(
-        conn.conn_id for conn in loader.offered_connections(spec)
+        conn.conn_id for conn in spec.connections
     )
 
     assert cli.main(["replay", wal, "--scenario", LINE_10]) == 0
@@ -105,7 +105,7 @@ def test_soak_fault_displaces_a_standing_connection():
             cac_config=loader.cac_config(spec),
         )
         await service.start()
-        for conn in loader.offered_connections(spec):
+        for conn in spec.connections:
             await service.submit_admit(conn)
         target = cli.fault_target(service.controller)
         displaced = await service.inject_node_failure(target)

@@ -1,6 +1,8 @@
 """Round-trip tests for the journal codec: every serialized form must
 reconstruct an equal object, floats bit-for-bit (``repr`` round-trips)."""
 
+import math
+
 import pytest
 
 from repro.config import CACConfig, build_network
@@ -91,6 +93,42 @@ def test_spec_deadline_must_be_a_number(value):
     payload["deadline"] = value
     with pytest.raises(JournalError, match="deadline must be a number"):
         dict_to_spec(payload)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("conn_id", 7),
+        ("conn_id", ""),
+        ("source_host", 5),
+        ("dest_host", ["host2-2"]),
+        ("deadline", math.inf),
+        ("deadline", 10**400),
+    ],
+    ids=[
+        "conn-id-int",
+        "conn-id-empty",
+        "source-host-int",
+        "dest-host-list",
+        "deadline-inf",
+        "deadline-huge-int",
+    ],
+)
+def test_spec_fields_are_strict(field, value):
+    """String ids and hosts, a non-empty ``conn_id``, a finite deadline:
+    a journal or a front-end request that breaks one is refused, and a
+    huge integer deadline does not escape as an ``OverflowError``."""
+    payload = spec_to_dict(
+        ConnectionSpec("s-1", "host1-1", "host2-2", TRAFFICS[0], 0.09)
+    )
+    payload[field] = value
+    with pytest.raises(JournalError, match=field):
+        dict_to_spec(payload)
+
+
+def test_traffic_must_be_an_object():
+    with pytest.raises(JournalError, match="traffic must be an object"):
+        dict_to_traffic([["type", "CBRTraffic"], ["rate", 1e6]])
 
 
 @pytest.mark.parametrize("field", ["h_source", "h_dest", "delay_bound"])

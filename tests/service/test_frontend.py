@@ -147,6 +147,17 @@ BAD_REQUESTS = {
     "deadline-string": _bad_admit(deadline="0.09"),
     "priority-true": _bad_admit(priority=True),
     "timeout-true": _bad_admit(timeout=True),
+    # Every connection needs a non-empty string id that a release can
+    # name: these three were once ADMITTED (under "", "" and "7"), and the
+    # first two could never be released.
+    "conn-id-missing": {k: v for k, v in ADMIT_C1.items() if k != "conn_id"},
+    "conn-id-empty": _bad_admit(conn_id=""),
+    "conn-id-int": _bad_admit(conn_id=7),
+    # Hosts are strings: 5 once became "5" and journaled a REJECTED
+    # decision ("no route: unknown host '5'").
+    "source-host-int": _bad_admit(source_host=5),
+    "dest-host-list": _bad_admit(dest_host=["host2-1"]),
+    "release-conn-id-int": {"op": "release", "conn_id": 7},
     # An otherwise valid admit one byte over the front end's line bound.
     "line-over-stream-limit": _padded_admit(MAX_LINE_BYTES + 1),
     # Deeper than the JSON decoder's recursion limit.
